@@ -2,12 +2,10 @@
 
 PR 5 opened the general-Σ scenario class: TGDs/EGDs with arbitrary CQ
 bodies chase through a generic trigger search (homomorphism enumeration
-per round) instead of the per-IND pending heap.  PR 8 made that search
-semi-naive — per-rule delta cursors seed body matches from nodes touched
-since the rule last ran, head-satisfaction checks cache against relation
-versions, and rounds of commuting TGD triggers apply as one batch — which
-brought the measured TGD/IND ratio on this workload from ~4.1x down to
-~1.9x.  This benchmark prices that generality on the one workload where
+per round) instead of the per-IND pending heap.  The columnar engine
+carries single-atom, IND-shaped TGDs on the pending heap alongside the
+INDs and sends only the general rules through the semi-naive trigger
+index.  This benchmark prices that generality on the one workload where
 both paths express the same constraints — a weakly-acyclic IND set and
 its ``as_tgd`` normalization:
 
@@ -36,8 +34,7 @@ from repro.workloads import EmbeddedDependencyGenerator, QueryGenerator, SchemaG
 
 #: TGD-path wall clock may cost up to this many times the IND fast path
 #: before the benchmark fails; the measured ratio lands in extra_info.
-#: PR 8's semi-naive trigger discovery measures ~1.9x on this workload;
-#: the ceiling keeps CI-runner headroom while still catching a slide
+#: The ceiling keeps CI-runner headroom while still catching a slide
 #: back toward the pre-semi-naive ~4.1x.
 GENERALITY_PRICE_CEILING = 3.0
 
@@ -53,7 +50,7 @@ def embedded_workload():
     return schema, inds, tgds, query
 
 
-def run_chase(query, sigma, engine: str = "indexed"):
+def run_chase(query, sigma, engine: str = "columnar"):
     config = ChaseConfig(variant=ChaseVariant.RESTRICTED, max_level=None,
                          max_conjuncts=5_000, record_trace=False, engine=engine)
     return build_engine(query, sigma, config).run()
@@ -91,10 +88,10 @@ def test_e18_encodings_build_the_same_chase(benchmark, embedded_workload):
         ind_times.append(time.perf_counter() - started)
 
     # Both engines produce the identical chase for each encoding.
-    for sigma, indexed in ((inds, ind_result), (tgds, tgd_result)):
+    for sigma, columnar in ((inds, ind_result), (tgds, tgd_result)):
         legacy = run_chase(query, sigma, engine="legacy")
         assert [(n.node_id, n.level, n.relation, n.conjunct.terms)
-                for n in indexed.graph] == \
+                for n in columnar.graph] == \
                [(n.node_id, n.level, n.relation, n.conjunct.terms)
                 for n in legacy.graph]
 
@@ -117,8 +114,6 @@ def test_e18_encodings_build_the_same_chase(benchmark, embedded_workload):
     statistics = tgd_result.statistics
     benchmark.extra_info["tgd_delta_seeded_matches"] = statistics.delta_seeded_matches
     benchmark.extra_info["tgd_trigger_cache_hits"] = statistics.trigger_cache_hits
-    benchmark.extra_info["tgd_batches"] = statistics.tgd_batches
-    benchmark.extra_info["tgd_batched_triggers"] = statistics.batched_tgd_triggers
     assert ratio < GENERALITY_PRICE_CEILING, (
         f"the generic TGD path cost {ratio:.1f}x the IND fast path; "
         f"ceiling is {GENERALITY_PRICE_CEILING}x")

@@ -1,14 +1,14 @@
-"""E16 — incremental indexed chase vs. the seed scan-and-rebuild engine.
+"""E16 — the incremental columnar chase vs. the seed scan-and-rebuild engine.
 
 Workloads:
 
 * **deep IND chase** (the E5 shape): a cyclic IND chain over a 3-relation
   schema with key FDs declared, chased to deep levels.  Every IND step
   adds one conjunct, so the legacy engine's per-step pairwise FD scan and
-  full index rebuild grow quadratically while the indexed engine touches
-  only the delta.  Acceptance: the indexed engine examines at least **3×
-  fewer triggers** (measured well above 10× from level 30 on) *and*
-  produces the node-for-node identical chase.
+  full index rebuild grow quadratically while the columnar engine
+  touches only the delta.  Acceptance: the columnar engine examines at
+  least **3× fewer triggers** (measured well above 10× from level 30 on)
+  *and* produces the node-for-node identical chase.
 * **the E15 view-rewrite workload**: the chain-queries-over-catalog
   workload of ``test_bench_view_rewrite``, run once per engine through
   the public ``SolverConfig(chase_engine=...)`` knob.  Rewriting is many
@@ -59,7 +59,7 @@ def run_deep_chase(query, sigma, engine: str, level: int):
 
 
 @pytest.mark.benchmark(group="E16-incremental-chase")
-@pytest.mark.parametrize("engine", ["indexed", "legacy"])
+@pytest.mark.parametrize("engine", ["columnar", "legacy"])
 def test_e16_deep_chase_wall_clock(benchmark, deep_ind_workload, engine):
     """Time both engines on the same deep chase (the group shows the gap)."""
     query, sigma = deep_ind_workload
@@ -71,50 +71,50 @@ def test_e16_deep_chase_wall_clock(benchmark, deep_ind_workload, engine):
 def test_e16_trigger_reduction_at_least_3x(deep_ind_workload, level):
     """Acceptance: ≥3× fewer triggers examined on deep IND chases."""
     query, sigma = deep_ind_workload
-    indexed = run_deep_chase(query, sigma, "indexed", level)
+    columnar = run_deep_chase(query, sigma, "columnar", level)
     legacy = run_deep_chase(query, sigma, "legacy", level)
 
     # Same chase, cheaper discovery: the semantic outputs must be identical.
-    assert [(n.node_id, n.level, n.conjunct.terms) for n in indexed.graph] == \
+    assert [(n.node_id, n.level, n.conjunct.terms) for n in columnar.graph] == \
            [(n.node_id, n.level, n.conjunct.terms) for n in legacy.graph]
-    assert indexed.statistics.triggers_fired == legacy.statistics.triggers_fired
+    assert columnar.statistics.triggers_fired == legacy.statistics.triggers_fired
 
     report = chase_statistics_report(
-        {"indexed": indexed.statistics, "legacy": legacy.statistics},
+        {"columnar": columnar.statistics, "legacy": legacy.statistics},
         title=f"deep IND chase to level {level}")
     print("\n" + report)
-    ratio = legacy.statistics.triggers_examined / max(1, indexed.statistics.triggers_examined)
+    ratio = legacy.statistics.triggers_examined / max(1, columnar.statistics.triggers_examined)
     assert ratio >= 3.0, (
-        f"indexed engine examined {indexed.statistics.triggers_examined} triggers vs "
+        f"columnar engine examined {columnar.statistics.triggers_examined} triggers vs "
         f"{legacy.statistics.triggers_examined} for legacy (only {ratio:.1f}x)")
 
 
 def test_e16_trigger_reduction_grows_with_depth(deep_ind_workload):
-    """The gap widens with depth: legacy is superlinear, indexed is linear."""
+    """The gap widens with depth: legacy is superlinear, columnar is linear."""
     query, sigma = deep_ind_workload
     ratios = []
     for level in DEEP_LEVELS:
-        indexed = run_deep_chase(query, sigma, "indexed", level)
+        columnar = run_deep_chase(query, sigma, "columnar", level)
         legacy = run_deep_chase(query, sigma, "legacy", level)
         ratios.append(legacy.statistics.triggers_examined
-                      / max(1, indexed.statistics.triggers_examined))
+                      / max(1, columnar.statistics.triggers_examined))
     assert ratios == sorted(ratios), f"ratios should be monotone, got {ratios}"
     assert ratios[-1] >= 2 * ratios[0]
 
 
 def test_e16_deep_chase_wall_clock_win(deep_ind_workload):
-    """Best-of-three wall clock at the deepest level: indexed ≥2× faster."""
+    """Best-of-three wall clock at the deepest level: columnar ≥2× faster."""
     query, sigma = deep_ind_workload
     timings = {}
-    for engine in ("indexed", "legacy"):
+    for engine in ("columnar", "legacy"):
         best = float("inf")
         for _ in range(3):
             started = time.perf_counter()
             run_deep_chase(query, sigma, engine, DEEP_LEVELS[-1])
             best = min(best, time.perf_counter() - started)
         timings[engine] = best
-    assert timings["indexed"] * 2 < timings["legacy"], (
-        f"indexed {timings['indexed']:.4f}s not 2x faster than "
+    assert timings["columnar"] * 2 < timings["legacy"], (
+        f"columnar {timings['columnar']:.4f}s not 2x faster than "
         f"legacy {timings['legacy']:.4f}s")
 
 
@@ -123,7 +123,7 @@ def test_e16_view_rewrite_workload_wall_clock_win():
 
     Each engine gets a fresh solver (cold caches) over the identical
     chain-queries/catalog workload of ``test_bench_view_rewrite``; the
-    indexed engine must win by at least 1.5× (measured well above that —
+    columnar engine must win by at least 1.5× (measured well above that —
     the rewrite search is containment-heavy, and every containment chase
     runs on the selected engine).
     """
@@ -135,7 +135,7 @@ def test_e16_view_rewrite_workload_wall_clock_win():
 
     timings = {}
     reports = {}
-    for engine in ("indexed", "legacy"):
+    for engine in ("columnar", "legacy"):
         best = float("inf")
         for _ in range(2):
             solver = Solver(SolverConfig(chase_engine=engine))
@@ -146,9 +146,9 @@ def test_e16_view_rewrite_workload_wall_clock_win():
         timings[engine] = best
 
     # Identical rewriting decisions either way.
-    for indexed_report, legacy_report in zip(reports["indexed"], reports["legacy"]):
-        assert [str(r.query) for r in indexed_report.rewritings] == \
+    for columnar_report, legacy_report in zip(reports["columnar"], reports["legacy"]):
+        assert [str(r.query) for r in columnar_report.rewritings] == \
                [str(r.query) for r in legacy_report.rewritings]
-    assert timings["indexed"] * 1.5 < timings["legacy"], (
-        f"indexed {timings['indexed']:.4f}s not 1.5x faster than "
+    assert timings["columnar"] * 1.5 < timings["legacy"], (
+        f"columnar {timings['columnar']:.4f}s not 1.5x faster than "
         f"legacy {timings['legacy']:.4f}s on the E15 workload")

@@ -59,7 +59,7 @@ def chase_statistics_report(statistics_by_engine: Mapping[str, "ChaseStatistics"
 
     Renders every counter a :class:`~repro.chase.engine.ChaseStatistics`
     carries — rule applications *and* the examined/fired trigger counts —
-    so the incremental-chase benchmark can print legacy and indexed runs
+    so the incremental-chase benchmark can print legacy and columnar runs
     of the same workload next to each other.  The derived totals come
     from the statistics object's own properties, keeping this table
     truthful by construction.
@@ -76,8 +76,6 @@ def chase_statistics_report(statistics_by_engine: Mapping[str, "ChaseStatistics"
         ("index hits", lambda s: s.index_hits),
         ("delta seeded matches", lambda s: s.delta_seeded_matches),
         ("trigger cache hits", lambda s: s.trigger_cache_hits),
-        ("tgd batches", lambda s: s.tgd_batches),
-        ("batched tgd triggers", lambda s: s.batched_tgd_triggers),
         ("interned terms", lambda s: s.interned_terms),
         ("union-find unions", lambda s: s.union_find_unions),
         ("union-find finds", lambda s: s.union_find_finds),

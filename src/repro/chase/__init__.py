@@ -30,9 +30,7 @@ from repro.chase.events import (
 )
 from repro.chase.chase_graph import ChaseArc, ChaseGraph, ChaseNode
 from repro.chase.engine import (
-    CHASE_ENGINES,
     ChaseConfig,
-    ChaseEngine,
     ChaseResult,
     ChaseStatistics,
     ChaseVariant,
@@ -64,10 +62,8 @@ from repro.chase.termination import (
 )
 
 __all__ = [
-    "CHASE_ENGINES",
     "ChaseArc",
     "ChaseConfig",
-    "ChaseEngine",
     "ChaseEngineProtocol",
     "ChaseGraph",
     "ChaseNode",

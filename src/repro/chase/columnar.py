@@ -1,15 +1,15 @@
-"""The columnar chase engine: an interned-term core (``engine="columnar"``).
+"""The columnar chase engine: the production core (``engine="columnar"``).
 
-The object-graph engines chase over :class:`~repro.terms.term.Term`
+The legacy reference engine chases over :class:`~repro.terms.term.Term`
 objects held on :class:`~repro.queries.conjunct.Conjunct` tuples; every
 index key hashes term objects (and therefore strings), every FD/EGD merge
 rewrites whole conjuncts, and every fresh NDV formats its provenance name
 eagerly.  This engine keeps the *policy* — minimum level,
 lexicographically first conjunct, lexicographically first dependency,
-certified node for node against the indexed engine — but moves the hot
+certified node for node against the legacy engine — but moves the hot
 core onto dense integers:
 
-* a process-local **term interner** maps constants, variables, and
+* a per-run **term interner** maps constants, variables, and
   chase-created NDVs to dense int ids; NDVs are interned *lazily* (a
   serial plus its provenance), so their ``Term`` objects and name strings
   are only materialised at the result boundary or for the trace;
@@ -19,35 +19,39 @@ core onto dense integers:
   merged-away id instead of walking a term-occurrence map of objects;
 * EGD/FD merges go through a **union-find** with path compression: the
   loser id is unioned into the survivor and affected atom keys are
-  re-canonicalised from the raw (never rewritten) column cells, replacing
-  the indexed engine's per-node conjunct-substitution cascade;
+  re-canonicalised from the raw (never rewritten) column cells, instead
+  of substituting into every conjunct that holds the loser;
 * the FD fixpoint's delta is **semi-naive over integer ranges**: a
   per-relation row watermark marks everything appended since the last
-  fixpoint dirty, plus the ids re-canonicalised by merges — cursors over
-  append-only column segments instead of an object dirty-set;
+  fixpoint dirty, plus the ids re-canonicalised by merges, and each
+  dirty fact is probed only against its FD determinant bucket;
 * IND applications and *fast* TGDs (single trivial body atom, single
   head atom — every IND-expressible rule qualifies) share one pending
   heap keyed ``(level, node id, kind, dependency index)``, realising the
-  engines' combined IND-vs-TGD competition
-  ``(level, node-id tuple, kind, index)`` without the general trigger
-  machinery.  General TGDs and all EGDs run through the shared
-  :class:`SemiNaiveTriggerIndex` over a columnar
+  combined IND-vs-TGD competition ``(level, node-id tuple, kind, index)``
+  without the general trigger machinery.  General TGDs and all EGDs run
+  through the shared :class:`SemiNaiveTriggerIndex` over a columnar
   :class:`TriggerStorage` whose values are interned ids.
+
+Everything that depends only on (Σ, schema) — resolved IND/FD positions,
+target templates, the fast/slow TGD split, per-relation heap plans — is
+compiled once into an immutable :class:`CompiledPlan`, memoised on the
+:class:`~repro.dependencies.dependency_set.DependencySet` per schema
+signature and shared by every run over that Σ, concurrent ones included.
+An engine instance holds only per-run state.
 
 The engine materialises real :class:`~repro.chase.chase_graph.ChaseNode`
 objects — identical ids, levels, labels, terms, arcs, and trace events —
 only when building the :class:`ChaseResult`, so the differential harness
-certifies it with the same node-for-node comparison it applies to the
-other engines, and everything downstream (containment, solver, service,
-fleet, observability) picks it up from the registry with no changes
-beyond the engine name.  It does not batch commuting TGD triggers (heap
-re-selection is cheap here), so like the legacy engine its batching
-counters stay at zero.
+certifies it with a node-for-node comparison against the legacy engine,
+and everything downstream (containment, solver, service, fleet,
+observability) sees ordinary chase results.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.chase.chase_graph import ChaseGraph
@@ -78,6 +82,16 @@ from repro.queries.conjunct import Conjunct
 from repro.queries.conjunctive_query import ConjunctiveQuery
 from repro.relational.schema import DatabaseSchema
 from repro.terms.term import NonDistinguishedVariable, Term, Variable
+
+
+def _dependency_str(dependency) -> str:
+    """``str(dependency)``, memoised on the (frozen, immutable) dependency
+    itself so the rendering survives engine rebuilds over the same Σ."""
+    rendered = dependency.__dict__.get("_rendered")
+    if rendered is None:
+        rendered = str(dependency)
+        object.__setattr__(dependency, "_rendered", rendered)
+    return rendered
 
 
 class _ColNode:
@@ -128,18 +142,19 @@ class _RelationStore:
         self.postings: List[Dict[int, Set[int]]] = [{} for _ in range(arity)]
 
 
-class _ColFdSpec:
-    """An FD with resolved positions and an id-keyed determinant index."""
+class _FdSpec:
+    """An FD with resolved positions; ``slot`` (its index in Σ's FD list)
+    selects the run's id-keyed determinant index for it."""
 
-    __slots__ = ("fd", "order", "lhs_positions", "rhs_position", "buckets")
+    __slots__ = ("fd", "order", "slot", "lhs_positions", "rhs_position")
 
-    def __init__(self, fd: FunctionalDependency, order: int,
+    def __init__(self, fd: FunctionalDependency, order: int, slot: int,
                  lhs_positions: Tuple[int, ...], rhs_position: int):
         self.fd = fd
         self.order = order
+        self.slot = slot
         self.lhs_positions = lhs_positions
         self.rhs_position = rhs_position
-        self.buckets: Dict[Tuple[int, ...], Set[int]] = {}
 
 
 class _FastTgd:
@@ -152,29 +167,27 @@ class _FastTgd:
     the head relation meeting the head's constant and repeated-existential
     constraints are bucketed by their values at the frontier positions; a
     body fact's requirement is satisfied iff the bucket at its projected
-    frontier values is non-empty.
+    frontier values is non-empty.  The buckets are per-run state, held by
+    the engine under ``slot``.
     """
 
-    __slots__ = ("global_index", "tgd", "body_relation", "head_relation",
+    __slots__ = ("slot", "tgd", "body_relation", "head_relation",
                  "frontier_eqs", "const_eqs", "exist_groups",
-                 "body_projection", "n_frontier", "head_template", "buckets")
+                 "body_projection", "n_frontier", "head_template")
 
-    def __init__(self, global_index, tgd, body_relation, head_relation,
+    def __init__(self, slot, tgd, body_relation, head_relation,
                  frontier_eqs, const_eqs, exist_groups, body_projection,
                  head_template):
-        self.global_index = global_index
+        self.slot = slot
         self.tgd = tgd
         self.body_relation = body_relation
         self.head_relation = head_relation
         self.frontier_eqs = frontier_eqs        # (head position, frontier slot)
-        self.const_eqs = const_eqs              # (head position, interned id)
+        self.const_eqs = const_eqs              # (head position, constant id)
         self.exist_groups = exist_groups        # repeated-existential positions
         self.body_projection = body_projection  # body position per frontier slot
         self.n_frontier = len(body_projection)
         self.head_template = head_template      # per head position, see builder
-        #: Node ids per frontier-value key; a bare min id (not a set) when
-        #: the engine runs with the flat satisfaction index.
-        self.buckets: Dict[Tuple[int, ...], "int | Set[int]"] = {}
 
     def head_key(self, key: Tuple[int, ...]) -> Optional[Tuple[int, ...]]:
         """The frontier-value bucket key of a head-relation fact, or None
@@ -214,26 +227,173 @@ class _ColumnarStorage(TriggerStorage):
         return self._intern_term(term)
 
 
+class CompiledPlan:
+    """Everything a columnar chase needs that depends only on (Σ, schema).
+
+    Built by :meth:`DependencySet.compiled` once per schema signature and
+    shared by every run over that Σ — concurrent runs on thread shards
+    included — so nothing here is mutated after construction.  Per-run
+    indexes live on the engine, addressed by the IND/FD indexes and the
+    fast-TGD ``slot`` numbers recorded here.
+
+    Rule constants get fixed ids: every run seeds its interner with
+    :attr:`constant_ids`, so a rule constant has the same id in every run
+    and the fast-TGD templates can carry ids directly.
+    """
+
+    __slots__ = ("fds", "inds", "egds", "constant_ids",
+                 "ind_positions", "ind_templates", "ind_target_plans",
+                 "cross_arc_plans", "fd_specs_by_relation", "fast_by_global",
+                 "fast_by_head_rel", "slow_tgds", "slow_global_index",
+                 "pending_plans", "can_merge", "needs_atom_index")
+
+    def __init__(self, dependencies: DependencySet, schema: DatabaseSchema):
+        self.fds = tuple(dependencies.functional_dependencies())
+        self.inds = tuple(dependencies.inclusion_dependencies())
+        tgds = tuple(dependencies.tgds())
+        self.egds = tuple(dependencies.egds())
+        #: Rule constants → their fixed ids, in first-occurrence order.
+        self.constant_ids: Dict[Term, int] = {}
+        for rule in tgds + self.egds:
+            for atom in rule.body + getattr(rule, "head", ()):
+                for term in atom.terms:
+                    if not isinstance(term, Variable):
+                        self.constant_ids.setdefault(
+                            term, len(self.constant_ids))
+
+        ind_positions = []
+        #: Per IND: (target relation, per-position source *key* position
+        #: or None for a fresh NDV, per-position attribute name) — the
+        #: new conjunct's recipe.
+        ind_templates = []
+        targets: Dict[str, List[Tuple[int, Tuple[int, ...]]]] = {}
+        cross_arcs: Dict[str, List[tuple]] = {}
+        pending: Dict[str, List[Tuple[int, int]]] = {}
+        copies_every_column = False
+        for index, ind in enumerate(self.inds):
+            lhs = ind.lhs_positions(schema)
+            rhs = ind.rhs_positions(schema)
+            ind_positions.append((lhs, rhs))
+            target = schema.relation(ind.rhs_relation)
+            # lhs and rhs positions pair up by list index.
+            slots = tuple(lhs[rhs.index(position)] if position in rhs
+                          else None
+                          for position in range(target.arity))
+            copies_every_column = copies_every_column or None not in slots
+            ind_templates.append((ind.rhs_relation, slots,
+                                  target.attribute_names))
+            targets.setdefault(ind.rhs_relation, []).append((index, rhs))
+            cross_arcs.setdefault(ind.lhs_relation, []).append(
+                (index, ind, _dependency_str(ind), lhs))
+            pending.setdefault(ind.lhs_relation, []).append((0, index))
+        self.ind_positions = tuple(ind_positions)
+        self.ind_templates = tuple(ind_templates)
+        #: Per target relation, the (IND index, rhs positions) pairs its
+        #: facts are entered under in the satisfaction indexes.
+        self.ind_target_plans = {relation: tuple(entries)
+                                 for relation, entries in targets.items()}
+        #: Per source relation, (IND index, IND, rendering, lhs positions)
+        #: for the R-chase cross-arc pass.
+        self.cross_arc_plans = {relation: tuple(entries)
+                                for relation, entries in cross_arcs.items()}
+
+        fd_specs: Dict[str, List[_FdSpec]] = {}
+        for slot, fd in enumerate(self.fds):
+            relation = schema.relation(fd.relation)
+            specs = fd_specs.setdefault(fd.relation, [])
+            specs.append(_FdSpec(fd, len(specs), slot,
+                                 fd.lhs_positions(relation),
+                                 fd.rhs_position(relation)))
+        self.fd_specs_by_relation = {relation: tuple(specs)
+                                     for relation, specs in fd_specs.items()}
+
+        # -- TGD split: heap-ridden fast rules vs trigger-index slow ones
+        self.fast_by_global: Dict[int, _FastTgd] = {}
+        fast_by_head_rel: Dict[str, List[_FastTgd]] = {}
+        slow_tgds = []
+        slow_global_index = []
+        for global_index, tgd in enumerate(tgds):
+            rule_plan = SemiNaiveTriggerIndex._rule_plan(tgd)
+            if rule_plan[5] and rule_plan[2] is not None:
+                fast = self._build_fast(tgd, rule_plan, schema)
+                self.fast_by_global[global_index] = fast
+                pending.setdefault(fast.body_relation, []).append(
+                    (1, global_index))
+                fast_by_head_rel.setdefault(fast.head_relation, []).append(fast)
+            else:
+                slow_global_index.append(global_index)
+                slow_tgds.append(tgd)
+        self.fast_by_head_rel = {relation: tuple(fasts)
+                                 for relation, fasts in fast_by_head_rel.items()}
+        self.slow_tgds = tuple(slow_tgds)
+        self.slow_global_index = tuple(slow_global_index)
+
+        #: Per source relation, the pending-heap (kind, dependency index)
+        #: entries a new fact of that relation must enqueue — INDs first
+        #: (kind 0), then fast TGDs (kind 1).
+        self.pending_plans = {relation: tuple(entries)
+                              for relation, entries in pending.items()}
+
+        #: With no FDs and no EGDs, no symbol merge can ever fire, so the
+        #: per-column postings (which exist purely to serve merges) and
+        #: the FD delta bookkeeping are skipped entirely.
+        self.can_merge = bool(self.fds or self.egds)
+        #: The atom-key index only ever gets probed by duplicate checks
+        #: (INDs/TGDs that mint no fresh NDV, slow multi-atom TGDs) and by
+        #: the post-merge conjunct coalescing; when Σ admits none of
+        #: those, runs skip maintaining it.
+        self.needs_atom_index = (
+            self.can_merge
+            or bool(self.slow_tgds)
+            or copies_every_column
+            or any(all(entry[0] != 2 for entry in fast.head_template)
+                   for fast in self.fast_by_global.values()))
+
+    def _build_fast(self, tgd, rule_plan, schema: DatabaseSchema) -> _FastTgd:
+        frontier = rule_plan[3]
+        head = rule_plan[2]
+        frontier_eqs, raw_const_eqs, exist_groups = rule_plan[6]
+        constant_ids = self.constant_ids
+        const_eqs = tuple((position, constant_ids[constant])
+                          for position, constant in raw_const_eqs)
+        body_atom = tgd.body[0]
+        body_pos = {variable: position
+                    for position, variable in enumerate(body_atom.terms)}
+        body_projection = tuple(body_pos[variable] for variable in frontier)
+        target = schema.relation(head.relation)
+        #: (0, id, -): constant id; (1, body position, -): copy the bound
+        #: value; (2, variable, attribute): fresh NDV shared across the
+        #: variable's occurrences.
+        template: List[tuple] = []
+        for position, term in enumerate(head.terms):
+            if not isinstance(term, Variable):
+                template.append((0, constant_ids[term], None))
+            elif term in body_pos:
+                template.append((1, body_pos[term], None))
+            else:
+                template.append((2, term, target.attribute_name_at(position)))
+        return _FastTgd(len(self.fast_by_global), tgd, body_atom.relation,
+                        head.relation, frontier_eqs, const_eqs, exist_groups,
+                        body_projection, tuple(template))
+
+
 class ColumnarChaseEngine:
     """Chase one query over interned integer ids (see the module docstring).
 
-    Implements the identical deterministic policy as the other engines —
-    the differential harness certifies all three node for node — while
+    Implements the identical deterministic policy as the legacy engine —
+    the differential harness certifies the two node for node — while
     keeping Terms, Conjuncts, and NDV name strings off the hot path.
+    Construction fetches Σ's :class:`CompiledPlan` (compiled on the first
+    chase over this schema) and sets up per-run state only.
     """
 
     engine_name = "columnar"
 
     def __init__(self, query: ConjunctiveQuery, dependencies: DependencySet,
                  config: Optional[ChaseConfig] = None):
-        dependencies.validate(query.input_schema)
         self._query = query
         self._schema: DatabaseSchema = query.input_schema
-        self._dependencies = dependencies
-        self._fds = dependencies.functional_dependencies()
-        self._inds = dependencies.inclusion_dependencies()
-        self._tgds = dependencies.tgds()
-        self._egds = dependencies.egds()
+        plan = dependencies.compiled(self._schema, CompiledPlan)
         self._config = config or ChaseConfig()
         self._trace = ChaseTrace()
         self._statistics = ChaseStatistics()
@@ -242,14 +402,33 @@ class ColumnarChaseEngine:
         self._failure_dependency: Optional[str] = None
         self._failure_live_conjuncts = 0
 
-        # -- term interner + union-find (parallel arrays indexed by id) --
-        self._intern_ids: Dict[Term, int] = {}
-        self._terms: List[Optional[Term]] = []    # None while an NDV is lazy
-        self._is_const: List[bool] = []
-        self._sort_keys: List[Optional[tuple]] = []  # merge order; None = constant
+        # -- the shared, read-only plan, bound for the hot paths ----------
+        self._fds = plan.fds
+        self._inds = plan.inds
+        self._egds = plan.egds
+        self._ind_positions = plan.ind_positions
+        self._ind_templates = plan.ind_templates
+        self._ind_target_plans = plan.ind_target_plans
+        self._cross_arc_plans = plan.cross_arc_plans
+        self._fd_specs_by_relation = plan.fd_specs_by_relation
+        self._fast_by_global = plan.fast_by_global
+        self._fast_by_head_rel = plan.fast_by_head_rel
+        self._slow_tgds = plan.slow_tgds
+        self._slow_global_index = plan.slow_global_index
+        self._pending_plans = plan.pending_plans
+        self._can_merge = plan.can_merge
+        self._needs_atom_index = plan.needs_atom_index
+
+        # -- term interner + union-find (parallel arrays indexed by id),
+        # seeded with the plan's rule constants at their fixed ids --------
+        constant_count = len(plan.constant_ids)
+        self._intern_ids: Dict[Term, int] = dict(plan.constant_ids)
+        self._terms: List[Optional[Term]] = list(plan.constant_ids)  # None: lazy NDV
+        self._is_const: List[bool] = [True] * constant_count
+        self._sort_keys: List[Optional[tuple]] = [None] * constant_count
         self._lazy: Dict[int, tuple] = {}  # id -> (serial, source, attr, level)
         self._next_serial = 0
-        self._uf_parent: List[int] = []
+        self._uf_parent: List[int] = list(range(constant_count))
 
         # -- columnar node state -----------------------------------------
         self._stores: Dict[str, _RelationStore] = {}
@@ -263,104 +442,6 @@ class ColumnarChaseEngine:
         self._cross_arcs: List[Tuple[int, int, object]] = []
         self._result_graph: Optional[ChaseGraph] = None
 
-        # -- dependency metadata (mirrors the indexed engine's) ----------
-        self._ind_positions: Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
-        self._inds_by_source: Dict[str, List[int]] = {}
-        self._inds_by_target: Dict[str, List[int]] = {}
-        #: Per IND: (target relation, per-position source *key* position
-        #: or None for a fresh NDV, per-position attribute name) — the
-        #: new conjunct's recipe, resolved once.
-        self._ind_templates: Dict[int, Tuple[str, Tuple[Optional[int], ...],
-                                             Tuple[str, ...]]] = {}
-        for index, ind in enumerate(self._inds):
-            lhs = ind.lhs_positions(self._schema)
-            rhs = ind.rhs_positions(self._schema)
-            self._ind_positions[index] = (lhs, rhs)
-            self._inds_by_source.setdefault(ind.lhs_relation, []).append(index)
-            self._inds_by_target.setdefault(ind.rhs_relation, []).append(index)
-            target = self._schema.relation(ind.rhs_relation)
-            # Per target position: the *source key* position to copy from
-            # (lhs and rhs positions pair up by list index), or None for
-            # a fresh NDV.
-            slots = tuple(lhs[rhs.index(position)] if position in rhs
-                          else None
-                          for position in range(target.arity))
-            attrs = tuple(target.attribute_name_at(position)
-                          for position in range(target.arity))
-            self._ind_templates[index] = (ind.rhs_relation, slots, attrs)
-        #: Per IND, its satisfaction index: rhs-value tuple → holder node
-        #: ids (a set when merges can rewrite keys, the bare minimum id
-        #: otherwise — see ``_flat_satisfied``).
-        self._ind_satisfied: List[Dict[Tuple[int, ...], "int | Set[int]"]] = [
-            {} for _ in self._inds]
-        #: Per target relation, the (satisfaction dict, rhs positions)
-        #: pairs its facts must be entered under — the per-fact indexing
-        #: loop resolved once, dicts bound directly.
-        self._ind_target_plans: Dict[
-            str, Tuple[Tuple[Dict, Tuple[int, ...]], ...]] = {
-            relation: tuple((self._ind_satisfied[index],
-                             self._ind_positions[index][1])
-                            for index in indexes)
-            for relation, indexes in self._inds_by_target.items()}
-        self._fd_specs_by_relation: Dict[str, List[_ColFdSpec]] = {}
-        for fd in self._fds:
-            relation = self._schema.relation(fd.relation)
-            specs = self._fd_specs_by_relation.setdefault(fd.relation, [])
-            specs.append(_ColFdSpec(fd, len(specs),
-                                    fd.lhs_positions(relation),
-                                    fd.rhs_position(relation)))
-
-        # -- TGD split: heap-ridden fast rules vs trigger-index slow ones
-        self._fast_by_global: Dict[int, _FastTgd] = {}
-        self._fast_by_body_rel: Dict[str, List[int]] = {}
-        self._fast_by_head_rel: Dict[str, List[_FastTgd]] = {}
-        self._slow_tgds: List = []
-        self._slow_global_index: List[int] = []
-        for global_index, tgd in enumerate(self._tgds):
-            plan = SemiNaiveTriggerIndex._rule_plan(tgd)
-            if plan[5] and plan[2] is not None:
-                fast = self._build_fast(global_index, tgd, plan)
-                self._fast_by_global[global_index] = fast
-                self._fast_by_body_rel.setdefault(
-                    fast.body_relation, []).append(global_index)
-                self._fast_by_head_rel.setdefault(
-                    fast.head_relation, []).append(fast)
-            else:
-                self._slow_global_index.append(global_index)
-                self._slow_tgds.append(tgd)
-
-        #: Per source relation, the pending-heap (kind, dependency index)
-        #: entries a new fact of that relation must enqueue — INDs first
-        #: (kind 0), then fast TGDs (kind 1).
-        self._pending_plans: Dict[str, Tuple[Tuple[int, int], ...]] = {}
-        for relation in set(self._inds_by_source) | set(self._fast_by_body_rel):
-            self._pending_plans[relation] = (
-                tuple((0, index)
-                      for index in self._inds_by_source.get(relation, ()))
-                + tuple((1, global_index)
-                        for global_index in
-                        self._fast_by_body_rel.get(relation, ())))
-
-        #: With no FDs and no EGDs, no symbol merge can ever fire, so the
-        #: per-column postings (which exist purely to serve merges) and
-        #: the FD delta bookkeeping are skipped entirely.
-        self._can_merge = bool(self._fds or self._egds)
-        #: Postings are built lazily at the *first* merge (when every cell
-        #: is still canonical) and maintained incrementally afterwards, so
-        #: runs whose FDs never fire pay nothing for the inverted index.
-        self._postings_built = False
-        #: The atom-key index only ever gets probed by duplicate checks
-        #: (INDs/TGDs that mint no fresh NDV, slow multi-atom TGDs) and by
-        #: the post-merge conjunct coalescing; when Σ admits none of
-        #: those, skip maintaining it.
-        self._needs_atom_index = (
-            self._can_merge
-            or bool(self._slow_tgds)
-            or any(None not in slots
-                   for _, slots, _ in self._ind_templates.values())
-            or any(all(entry[0] != 2 for entry in fast.head_template)
-                   for fast in self._fast_by_global.values()))
-
         # -- work queues and persistent indexes --------------------------
         #: (level, node id, kind, dependency index); kind 0 is an IND with
         #: its IND index, kind 1 a fast TGD with its *global* TGD index —
@@ -370,18 +451,31 @@ class ColumnarChaseEngine:
         self._applied: Set[Tuple[int, int]] = set()       # O-chase (node, IND)
         self._applied_fast: Set[Tuple[int, int]] = set()  # O-chase (TGD, node)
         self._applied_tgds: Set[Tuple[int, Tuple[int, ...]]] = set()  # slow
-        #: Satisfaction entries (``_ind_satisfied``, ``_FastTgd.buckets``)
-        #: hold *sets* of node ids when merges can rewrite keys (removal
-        #: needs the membership), but collapse to the single minimum id —
-        #: first writer wins, ids are monotone — when Σ has no FDs/EGDs
-        #: and keys are immortal.
+        #: Per IND index, its satisfaction index: rhs-value tuple → holder
+        #: node ids; per fast-TGD slot, its head-satisfaction buckets.
+        #: Entries hold *sets* of node ids when merges can rewrite keys
+        #: (removal needs the membership), but collapse to the single
+        #: minimum id — first writer wins, ids are monotone — when Σ has
+        #: no FDs/EGDs and keys are immortal.  Created on first use, so a
+        #: run over a large Σ pays only for the dependencies it touches.
+        self._ind_satisfied: Dict[int, Dict[Tuple[int, ...], "int | Set[int]"]] = (
+            defaultdict(dict))
+        self._fast_buckets: Dict[int, Dict[Tuple[int, ...], "int | Set[int]"]] = (
+            defaultdict(dict))
         self._flat_satisfied = not self._can_merge
+        #: Per FD slot, determinant values → holder node ids.
+        self._fd_buckets: Dict[int, Dict[Tuple[int, ...], Set[int]]] = (
+            defaultdict(dict))
+        #: Postings are built lazily at the *first* merge (when every cell
+        #: is still canonical) and maintained incrementally afterwards, so
+        #: runs whose FDs never fire pay nothing for the inverted index.
+        self._postings_built = False
         self._atom_nodes: Dict[Tuple[str, Tuple[int, ...]], Set[int]] = {}
         self._duplicate_keys: Set[Tuple[str, Tuple[int, ...]]] = set()
         #: Semi-naive FD delta: per-FD-relation row watermark (rows at or
         #: past it were appended since the last fixpoint) plus the nodes
-        #: re-canonicalised by merges — the indexed engine's dirty set, as
-        #: integer cursors over the append-only column segments.
+        #: re-canonicalised by merges — integer cursors over the
+        #: append-only column segments.
         self._fd_watermarks: Dict[str, int] = {
             relation: 0 for relation in self._fd_specs_by_relation}
         self._fd_rewritten: Dict[int, None] = {}
@@ -392,38 +486,13 @@ class ColumnarChaseEngine:
         self._trigger_index: Optional[SemiNaiveTriggerIndex] = (
             SemiNaiveTriggerIndex(
                 self._slow_tgds, self._egds, self._live_views,
-                self._views_getitem, self._statistics,
-                oblivious=self._config.variant is ChaseVariant.OBLIVIOUS,
-                storage=_ColumnarStorage(self._atom_keys, self._intern))
+                self._views_getitem,
+                _ColumnarStorage(self._atom_keys, self._intern),
+                self._statistics,
+                oblivious=self._config.variant is ChaseVariant.OBLIVIOUS)
             if (self._slow_tgds or self._egds) else None)
 
     # -- construction helpers --------------------------------------------------
-
-    def _build_fast(self, global_index: int, tgd, plan) -> _FastTgd:
-        frontier = plan[3]
-        head = plan[2]
-        frontier_eqs, raw_const_eqs, exist_groups = plan[6]
-        const_eqs = tuple((position, self._intern(constant))
-                          for position, constant in raw_const_eqs)
-        body_atom = tgd.body[0]
-        body_pos = {variable: position
-                    for position, variable in enumerate(body_atom.terms)}
-        body_projection = tuple(body_pos[variable] for variable in frontier)
-        target = self._schema.relation(head.relation)
-        #: (0, id, -): interned constant; (1, body position, -): copy the
-        #: bound value; (2, variable, attribute): fresh NDV shared across
-        #: the variable's occurrences.
-        template: List[tuple] = []
-        for position, term in enumerate(head.terms):
-            if not isinstance(term, Variable):
-                template.append((0, self._intern(term), None))
-            elif term in body_pos:
-                template.append((1, body_pos[term], None))
-            else:
-                template.append((2, term, target.attribute_name_at(position)))
-        return _FastTgd(global_index, tgd, body_atom.relation, head.relation,
-                        frontier_eqs, const_eqs, exist_groups,
-                        body_projection, tuple(template))
 
     def _views_getitem(self, node_id: int) -> _ColNode:
         return self._views[node_id]
@@ -436,15 +505,6 @@ class ColumnarChaseEngine:
         views = self._views
         return [views[node_id] for node_id in store.row_nodes
                 if views[node_id].alive]
-
-    def _dependency_str(self, dependency) -> str:
-        # Memoised on the (frozen, immutable) dependency itself so the
-        # rendering survives engine rebuilds over the same Σ.
-        rendered = dependency.__dict__.get("_rendered")
-        if rendered is None:
-            rendered = str(dependency)
-            object.__setattr__(dependency, "_rendered", rendered)
-        return rendered
 
     # -- interner and union-find -----------------------------------------------
 
@@ -661,30 +721,32 @@ class ColumnarChaseEngine:
             if len(atoms) > 1:
                 self._duplicate_keys.add((relation, key))
         for spec in self._fd_specs_by_relation.get(relation, ()):
-            spec.buckets.setdefault(
+            self._fd_buckets[spec.slot].setdefault(
                 tuple(key[position] for position in spec.lhs_positions),
                 set()).add(node_id)
         targets = self._ind_target_plans.get(relation)
         flat = self._flat_satisfied
         if targets is not None:
             self._statistics.triggers_examined += len(targets)
+            ind_satisfied = self._ind_satisfied
             if flat:
-                for satisfied, rhs_positions in targets:
-                    satisfied.setdefault(
+                for index, rhs_positions in targets:
+                    ind_satisfied[index].setdefault(
                         tuple([key[position] for position in rhs_positions]),
                         node_id)
             else:
-                for satisfied, rhs_positions in targets:
+                for index, rhs_positions in targets:
                     vkey = tuple(
                         [key[position] for position in rhs_positions])
-                    satisfied.setdefault(vkey, set()).add(node_id)
+                    ind_satisfied[index].setdefault(vkey, set()).add(node_id)
         for fast in self._fast_by_head_rel.get(relation, ()):
             hkey = fast.head_key(key)
             if hkey is not None:
+                buckets = self._fast_buckets[fast.slot]
                 if flat:
-                    fast.buckets.setdefault(hkey, node_id)
+                    buckets.setdefault(hkey, node_id)
                 else:
-                    fast.buckets.setdefault(hkey, set()).add(node_id)
+                    buckets.setdefault(hkey, set()).add(node_id)
 
     def _unindex_key(self, view: _ColNode, key: Tuple[int, ...]) -> None:
         """Remove a node's current canonical key from the value indexes."""
@@ -700,12 +762,14 @@ class ColumnarChaseEngine:
                 del self._atom_nodes[akey]
         for spec in self._fd_specs_by_relation.get(relation, ()):
             values = tuple(key[position] for position in spec.lhs_positions)
-            bucket = spec.buckets.get(values)
+            buckets = self._fd_buckets[spec.slot]
+            bucket = buckets.get(values)
             if bucket is not None:
                 bucket.discard(node_id)
                 if not bucket:
-                    del spec.buckets[values]
-        for satisfied, rhs_positions in self._ind_target_plans.get(relation, ()):
+                    del buckets[values]
+        for index, rhs_positions in self._ind_target_plans.get(relation, ()):
+            satisfied = self._ind_satisfied[index]
             vkey = tuple(key[position] for position in rhs_positions)
             bucket = satisfied.get(vkey)
             if bucket is not None:
@@ -715,11 +779,12 @@ class ColumnarChaseEngine:
         for fast in self._fast_by_head_rel.get(relation, ()):
             hkey = fast.head_key(key)
             if hkey is not None:
-                bucket = fast.buckets.get(hkey)
+                buckets = self._fast_buckets[fast.slot]
+                bucket = buckets.get(hkey)
                 if bucket is not None:
                     bucket.discard(node_id)
                     if not bucket:
-                        del fast.buckets[hkey]
+                        del buckets[hkey]
 
     def _first_atom_node(self, relation: str,
                          key: Tuple[int, ...]) -> Optional[int]:
@@ -786,17 +851,18 @@ class ColumnarChaseEngine:
         """Lexicographically first applicable (FD, pair of conjuncts).
 
         Probes only the delta — rows appended past the watermarks plus
-        nodes rewritten by merges — against the determinant buckets: the
-        indexed engine's semi-naive FD discovery over integer cursors.
-        Taking the global minimum over all candidates makes probe order
-        (and the occasional double probe of a node that is both new and
-        rewritten) irrelevant to the choice.
+        nodes rewritten by merges — against the determinant buckets, so
+        discovery work is proportional to the actual candidates.  Taking
+        the global minimum over all candidates makes probe order (and the
+        occasional double probe of a node that is both new and rewritten)
+        irrelevant to the choice.
         """
         best = None
         views = self._views
         atom_keys = self._atom_keys
         statistics = self._statistics
         specs_by_relation = self._fd_specs_by_relation
+        fd_buckets = self._fd_buckets
         for node_id in self._iter_fd_dirty():
             view = views[node_id]
             if not view.alive:
@@ -807,7 +873,7 @@ class ColumnarChaseEngine:
             key = atom_keys[node_id]
             for spec in specs:
                 values = tuple(key[position] for position in spec.lhs_positions)
-                bucket = spec.buckets.get(values)
+                bucket = fd_buckets[spec.slot].get(values)
                 if bucket is None or len(bucket) < 2:
                     continue
                 statistics.index_hits += 1
@@ -828,7 +894,7 @@ class ColumnarChaseEngine:
             return None
         return best[3], best[0], best[1]
 
-    def _apply_fd(self, spec: _ColFdSpec, first_id: int,
+    def _apply_fd(self, spec: _FdSpec, first_id: int,
                   second_id: int) -> None:
         fd = spec.fd
         atom_keys = self._atom_keys
@@ -1066,7 +1132,7 @@ class ColumnarChaseEngine:
                     key = self._atom_keys[node_id]
                     values = tuple(key[position]
                                    for position in fast.body_projection)
-                    if fast.buckets.get(values) is not None:
+                    if self._fast_buckets[fast.slot].get(values) is not None:
                         statistics.index_hits += 1
                         continue
             return entry
@@ -1078,7 +1144,7 @@ class ColumnarChaseEngine:
         The pending heap already holds the INDs and fast TGDs in combined
         priority order; only the slow (trigger-index) TGDs still compete
         through an actives scan.  The overall minimum is the same one the
-        indexed engine's one-pool competition selects, so the chosen
+        legacy engine's one-pool competition selects, so the chosen
         application — and with it every node id — agrees across engines.
         """
         entry = self._peek_pending()
@@ -1274,7 +1340,7 @@ class ColumnarChaseEngine:
     def _record_cross_arcs(self) -> None:
         """R-chase post-pass: cross arcs for satisfied requirements.
 
-        Same rule as the indexed engine: for every live conjunct c and
+        Same rule as the legacy engine: for every live conjunct c and
         IND applicable to c whose required conjunct exists, a cross arc
         from c to the first such conjunct — unless c itself has an
         ordinary arc for that IND.
@@ -1285,19 +1351,12 @@ class ColumnarChaseEngine:
         arc_via = self._arc_via
         for node_id, parent in enumerate(self._arc_parent):
             if parent is not None:
-                ordinary.add((parent, self._dependency_str(arc_via[node_id])))
+                ordinary.add((parent, _dependency_str(arc_via[node_id])))
         atom_keys = self._atom_keys
         cross = self._cross_arcs
         flat = self._flat_satisfied
-        #: (satisfaction dict, ind, rendering, lhs positions) per source
-        #: relation, resolved once instead of per live node.
-        plans = {
-            relation: tuple(
-                (self._ind_satisfied[index], self._inds[index],
-                 self._dependency_str(self._inds[index]),
-                 self._ind_positions[index][0])
-                for index in indexes)
-            for relation, indexes in self._inds_by_source.items()}
+        ind_satisfied = self._ind_satisfied
+        plans = self._cross_arc_plans
         for view in self._views:
             if not view.alive:
                 continue
@@ -1306,10 +1365,10 @@ class ColumnarChaseEngine:
                 continue
             node_id = view.node_id
             key = atom_keys[node_id]
-            for satisfied, ind, rendering, lhs_positions in plan:
+            for index, ind, rendering, lhs_positions in plan:
                 if (node_id, rendering) in ordinary:
                     continue
-                bucket = satisfied.get(
+                bucket = ind_satisfied[index].get(
                     tuple([key[position] for position in lhs_positions]))
                 if bucket is None:
                     target_id = None

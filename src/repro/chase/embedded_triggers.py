@@ -21,10 +21,10 @@ rather than single conjuncts:
   applied is the minimum by (level, node-id tuple, TGD insertion index)
   — the multi-node generalisation of the IND heap key.
 
-Both chase engines call these functions, so trigger selection (and the
-``triggers_examined`` accounting) cannot drift between them; the engines
-still differ in how they maintain their indexes and apply the chosen
-trigger, which is what the differential harness certifies.
+The legacy engine calls the full-scan functions below on every round;
+the columnar engine discovers the same triggers incrementally through
+:class:`SemiNaiveTriggerIndex`.  Both select by the one policy spelled
+out here, which is what the differential harness certifies.
 """
 
 from __future__ import annotations
@@ -53,13 +53,13 @@ class TriggerStorage:
     The matcher is generic over the *value domain* the chase stores its
     terms in: bindings map rule :class:`Variable` objects to storage
     values, and a rule constant only ever meets a node term after being
-    pushed through :meth:`encode`.  The default (this class) is object
-    storage — node terms are the :class:`~repro.terms.term.Term` objects
-    on ``node.conjunct`` and constants encode to themselves — which is
-    what the indexed and legacy engines use.  The columnar engine
-    supplies a storage whose values are interned integer term ids, so
-    the same semi-naive trigger index runs over flat int tuples without
-    materialising any :class:`Term`.
+    pushed through :meth:`encode`.  This base class is object storage —
+    node terms are the :class:`~repro.terms.term.Term` objects on
+    ``node.conjunct`` and constants encode to themselves — which is what
+    the full-scan functions (the legacy engine, instance violation
+    checks) use.  The columnar engine supplies a storage whose values
+    are interned integer term ids, so the semi-naive trigger index runs
+    over flat int tuples without materialising any :class:`Term`.
     """
 
     __slots__ = ()
@@ -323,12 +323,12 @@ def find_tgd_trigger(tgds: Sequence[TGD],
 
 
 # ---------------------------------------------------------------------------
-# Semi-naive trigger discovery (the indexed engine's delta discipline)
+# Semi-naive trigger discovery (the columnar engine's delta discipline)
 # ---------------------------------------------------------------------------
 
 
 class SemiNaiveTriggerIndex:
-    """Delta-driven TGD/EGD trigger discovery for the indexed engine.
+    """Delta-driven TGD/EGD trigger discovery for the columnar engine.
 
     :func:`find_egd_trigger` / :func:`find_tgd_trigger` re-enumerate every
     body match from scratch each round.  This index extends the FD
@@ -361,19 +361,18 @@ class SemiNaiveTriggerIndex:
     def __init__(self, tgds: Sequence[TGD], egds: Sequence[EGD],
                  nodes_for_relation: NodesForRelation,
                  node_by_id: Callable[[int], ChaseNode],
-                 statistics=None, oblivious: bool = False,
-                 storage: Optional[TriggerStorage] = None):
+                 storage: TriggerStorage,
+                 statistics=None, oblivious: bool = False):
         self._tgds = list(tgds)
         self._egds = list(egds)
         self._nodes_for_relation = nodes_for_relation
         self._node_by_id = node_by_id
         self._statistics = statistics
         self._oblivious = oblivious
-        self._storage = storage if storage is not None else OBJECT_STORAGE
-        self._terms_of = self._storage.terms_of
+        self._storage = storage
+        self._terms_of = storage.terms_of
         # Rule atoms with constants pushed into the storage domain, one
-        # tuple-of-tuples per rule in atom order.  For object storage
-        # this is just the atoms' own term tuples.
+        # tuple-of-tuples per rule in atom order.
         self._tgd_body_sterms = [
             tuple(_encode_atom_terms(atom, self._storage) for atom in tgd.body)
             for tgd in self._tgds]

@@ -1,27 +1,21 @@
 """Pluggable chase-engine registry.
 
-Engine selection used to be an ad-hoc string contract: a hard-coded
-``CHASE_ENGINES`` tuple in :mod:`repro.chase.engine`, re-validated
-separately by ``ChaseConfig`` and ``SolverConfig``, and baked into the
-CLI's ``choices`` at import time.  This module replaces all of that with
-one registry:
+Every layer that names a chase engine — ``ChaseConfig``,
+``SolverConfig``, the CLI's ``--engine`` choices,
+``$REPRO_CHASE_ENGINE`` — resolves it through this one registry:
 
 * :func:`register_engine` binds a name to a factory
   ``(query, dependencies, config) -> engine``;
 * :func:`available_engines` lists the registered names in registration
-  order (the built-ins register as ``indexed``, ``legacy``,
-  ``columnar``);
+  order (the built-ins register as ``legacy``, ``columnar``);
 * :func:`resolve_engine_name` is the single resolver every config layer
   goes through — ``None`` falls back to ``$REPRO_CHASE_ENGINE`` and then
-  to the ``indexed`` default, and unknown names raise a
+  to the ``columnar`` default, and unknown names raise a
   :class:`~repro.exceptions.ChaseError` listing the registered names;
 * :func:`create_engine` instantiates by name.
 
 :class:`ChaseEngineProtocol` spells out the contract a registered engine
-must satisfy — the seam new engines (like the columnar core) plug into.
-``CHASE_ENGINES`` remains importable from :mod:`repro.chase.engine` as a
-deprecated read-only view over this registry, so existing imports keep
-working.
+must satisfy — the seam new engines plug into.
 
 The registry itself imports nothing heavy; the built-in engines are
 registered by :mod:`repro.chase.engine` when it is imported, and the
@@ -36,10 +30,8 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
-    Iterator,
     Optional,
     Protocol,
-    Sequence,
     Tuple,
     runtime_checkable,
 )
@@ -58,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 CHASE_ENGINE_ENV_VAR = "REPRO_CHASE_ENGINE"
 
 #: The engine used when neither the config nor the environment picks one.
-DEFAULT_CHASE_ENGINE = "indexed"
+DEFAULT_CHASE_ENGINE = "columnar"
 
 EngineFactory = Callable[
     ["ConjunctiveQuery", "DependencySet", "ChaseConfig"], "ChaseEngineProtocol"]
@@ -155,44 +147,6 @@ def create_engine(name: str, query: "ConjunctiveQuery",
     return engine_factory(name)(query, dependencies, config)
 
 
-class _RegisteredEnginesView(Sequence):
-    """Deprecated read-only live view of the registered engine names.
-
-    Kept so ``from repro.chase.engine import CHASE_ENGINES`` continues to
-    work; new code should call :func:`available_engines`.  Behaves like
-    the tuple it replaced (iteration, membership, indexing, ``len``) but
-    always reflects the current registry.
-    """
-
-    __slots__ = ()
-
-    def __len__(self) -> int:
-        return len(available_engines())
-
-    def __getitem__(self, index):  # type: ignore[override]
-        return available_engines()[index]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(available_engines())
-
-    def __contains__(self, name: object) -> bool:
-        return name in available_engines()
-
-    def __repr__(self) -> str:
-        return repr(available_engines())
-
-    def __eq__(self, other: object) -> bool:
-        return available_engines() == other
-
-    def __hash__(self) -> int:
-        return hash(available_engines())
-
-
-#: Deprecated: read-only view kept for backward compatibility; use
-#: :func:`available_engines` instead.
-CHASE_ENGINES: Sequence[str] = _RegisteredEnginesView()
-
-
 def _ensure_builtins() -> None:
     """Make sure the built-in engines have registered themselves.
 
@@ -201,5 +155,5 @@ def _ensure_builtins() -> None:
     dependency-free while guaranteeing ``available_engines()`` is never
     empty for callers that import only the registry.
     """
-    if "indexed" not in _REGISTRY:
+    if DEFAULT_CHASE_ENGINE not in _REGISTRY:
         import repro.chase.engine  # noqa: F401  (registration side effect)

@@ -139,10 +139,10 @@ def build_parser() -> argparse.ArgumentParser:
     chase_cmd.add_argument("--variant", choices=["R", "O"], default="R")
     chase_cmd.add_argument("--engine", choices=list(available_engines()),
                            default=None,
-                           help="chase implementation: 'indexed' (incremental "
-                                "indexes, the default), 'columnar' (interned-"
-                                "integer columnar core), or 'legacy' (the seed "
-                                "scan-and-rebuild engine)")
+                           help="chase implementation: 'columnar' (the "
+                                "interned-integer production engine, the "
+                                "default) or 'legacy' (the seed scan-and-"
+                                "rebuild reference engine)")
     chase_cmd.add_argument("--trace", action="store_true",
                            help="also print the application trace")
 

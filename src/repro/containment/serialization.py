@@ -313,8 +313,6 @@ def chase_result_to_dict(result: "ChaseResult",
             "index_hits": result.statistics.index_hits,
             "delta_seeded_matches": result.statistics.delta_seeded_matches,
             "trigger_cache_hits": result.statistics.trigger_cache_hits,
-            "tgd_batches": result.statistics.tgd_batches,
-            "batched_tgd_triggers": result.statistics.batched_tgd_triggers,
             "interned_terms": result.statistics.interned_terms,
             "union_find_unions": result.statistics.union_find_unions,
             "union_find_finds": result.statistics.union_find_finds,

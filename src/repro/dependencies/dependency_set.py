@@ -27,6 +27,7 @@ from __future__ import annotations
 import hashlib
 from enum import Enum
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -35,6 +36,7 @@ from typing import (
     Optional,
     Set,
     Tuple,
+    TypeVar,
     Union,
 )
 
@@ -48,6 +50,8 @@ Dependency = Union[FunctionalDependency, InclusionDependency, TGD, EGD]
 
 #: The concrete classes a DependencySet accepts.
 DEPENDENCY_TYPES = (FunctionalDependency, InclusionDependency, TGD, EGD)
+
+_Compiled = TypeVar("_Compiled")
 
 
 class DependencyClass(Enum):
@@ -82,6 +86,7 @@ class DependencySet:
         self._schema = schema
         self._classify_cache: Dict[Optional[Tuple], DependencyClass] = {}
         self._validated_signatures: Set[Tuple] = set()
+        self._compiled: Dict[Tuple, object] = {}
         self._fingerprint: Optional[str] = None
         for dependency in dependencies or ():
             self.add(dependency)
@@ -102,6 +107,7 @@ class DependencySet:
             self._seen.add(dependency)
             self._classify_cache.clear()
             self._validated_signatures.clear()
+            self._compiled.clear()
             self._fingerprint = None
         return self
 
@@ -245,12 +251,35 @@ class DependencySet:
         target = schema or self._schema
         if target is None:
             raise DependencyError("no schema available to validate against")
-        signature = target.signature()
+        self._validate_signature(target, target.signature())
+
+    def _validate_signature(self, schema: DatabaseSchema,
+                            signature: Tuple) -> None:
         if signature in self._validated_signatures:
             return
         for dependency in self._dependencies:
-            dependency.validate(target)
+            dependency.validate(schema)
         self._validated_signatures.add(signature)
+
+    def compiled(self, schema: DatabaseSchema,
+                 compiler: Callable[["DependencySet", DatabaseSchema], _Compiled]
+                 ) -> _Compiled:
+        """Σ validated against ``schema`` and compiled by ``compiler``.
+
+        The chase engine's plan depends only on (Σ, schema content), so
+        like :meth:`validate` and :meth:`classify` it is memoised on the
+        schema's :meth:`~DatabaseSchema.signature` — computed once per
+        call — and :meth:`add` drops it.  The memo holds one compiled
+        object per signature, so every caller must pass the same
+        ``compiler``; the result is shared by concurrent chases over this
+        Σ and must never be mutated.
+        """
+        signature = schema.signature()
+        plan = self._compiled.get(signature)
+        if plan is None:
+            self._validate_signature(schema, signature)
+            plan = self._compiled[signature] = compiler(self, schema)
+        return plan  # type: ignore[return-value]
 
     # -- classification ----------------------------------------------------------------------------
 

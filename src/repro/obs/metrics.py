@@ -344,6 +344,27 @@ class MetricsRegistry:
         with self._lock:
             return self._instruments.get(name)
 
+    def add_counts(self, children: Sequence[_BoundCounter],
+                   amounts: Sequence[float]) -> None:
+        """Add ``amounts[i]`` to ``children[i]``, skipping zeros.
+
+        One event often moves a dozen counters (a finished chase reports
+        every work counter); every instrument of a registry shares its
+        lock, so taking it once here instead of once per ``inc`` keeps
+        the reporting cost flat (benchmark E20).  The counters must
+        belong to this registry.
+        """
+        with self._lock:
+            for child, amount in zip(children, amounts):
+                if not amount:
+                    continue
+                if amount < 0:
+                    raise MetricError(
+                        f"counter {child._instrument.name!r} cannot decrease "
+                        f"(inc by {amount})")
+                series = child._instrument._series
+                series[child._key] = series.get(child._key, 0) + amount
+
     def names(self) -> List[str]:
         with self._lock:
             return sorted(self._instruments)

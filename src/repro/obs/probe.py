@@ -31,6 +31,8 @@ from repro.obs.metrics import (
 
 __all__ = ["Probe", "MetricsProbe", "ACTIVE", "active", "install", "uninstall"]
 
+_CACHE_HIT_LABELS = {True: "true", False: "false"}
+
 
 class Probe:
     """No-op base; override any subset of the reporting hooks."""
@@ -126,12 +128,6 @@ class MetricsProbe(Probe):
         self._trigger_cache_hits = registry.counter(
             "repro_chase_trigger_cache_hits_total",
             "Trigger re-derivations avoided by the semi-naive caches.")
-        self._tgd_batches = registry.counter(
-            "repro_chase_tgd_batches_total",
-            "Selection rounds that queued extra commuting TGD triggers.")
-        self._batched_triggers = registry.counter(
-            "repro_chase_batched_tgd_triggers_total",
-            "TGD triggers applied straight off a commuting batch queue.")
         self._interned_terms = registry.counter(
             "repro_chase_interned_terms_total",
             "Terms interned into dense ids by the columnar engine.")
@@ -170,19 +166,16 @@ class MetricsProbe(Probe):
         self._request_children: dict = {}
         self._chase_children: dict = {}
         self._chase_conjuncts_series = self._chase_conjuncts.labels()
-        self._step_children = {
-            kind: self._chase_steps.labels(kind=kind)
-            for kind in ("fd", "egd", "ind", "tgd", "merged")}
-        self._triggers_series = self._triggers.labels()
-        self._index_hits_series = self._index_hits.labels()
-        self._delta_matches_series = self._delta_matches.labels()
-        self._trigger_cache_hits_series = self._trigger_cache_hits.labels()
-        self._tgd_batches_series = self._tgd_batches.labels()
-        self._batched_triggers_series = self._batched_triggers.labels()
-        self._interned_terms_series = self._interned_terms.labels()
-        self._union_find_unions_series = self._union_find_unions.labels()
-        self._union_find_finds_series = self._union_find_finds.labels()
-        self._column_probes_series = self._column_probes.labels()
+        #: The work counters a finished chase moves, in the order
+        #: :meth:`chase` lists their amounts.
+        self._chase_work = (
+            *(self._chase_steps.labels(kind=kind)
+              for kind in ("fd", "egd", "ind", "tgd", "merged")),
+            *(counter.labels() for counter in (
+                self._triggers, self._index_hits, self._delta_matches,
+                self._trigger_cache_hits, self._interned_terms,
+                self._union_find_unions, self._union_find_finds,
+                self._column_probes)))
         self._hom_children = {
             found: self._hom_searches.labels(found=found)
             for found in ("true", "false")}
@@ -194,7 +187,7 @@ class MetricsProbe(Probe):
 
     def request(self, op: str, elapsed_s: float,
                 cache_hit: Optional[bool]) -> None:
-        hit = {True: "true", False: "false"}.get(cache_hit, "n/a")
+        hit = _CACHE_HIT_LABELS.get(cache_hit, "n/a")
         children = self._request_children.get((op, hit))
         if children is None:
             children = self._request_children[(op, hit)] = (
@@ -215,35 +208,14 @@ class MetricsProbe(Probe):
         children[0].inc()
         children[1].observe(elapsed_s)
         self._chase_conjuncts_series.observe(conjuncts)
-        steps = self._step_children
-        for kind, amount in (
-                ("fd", statistics.fd_steps),
-                ("egd", statistics.egd_steps),
-                ("ind", statistics.ind_applications),
-                ("tgd", statistics.tgd_applications),
-                ("merged", statistics.merged_conjuncts)):
-            if amount:
-                steps[kind].inc(amount)
-        if statistics.triggers_examined:
-            self._triggers_series.inc(statistics.triggers_examined)
-        if statistics.index_hits:
-            self._index_hits_series.inc(statistics.index_hits)
-        if statistics.delta_seeded_matches:
-            self._delta_matches_series.inc(statistics.delta_seeded_matches)
-        if statistics.trigger_cache_hits:
-            self._trigger_cache_hits_series.inc(statistics.trigger_cache_hits)
-        if statistics.tgd_batches:
-            self._tgd_batches_series.inc(statistics.tgd_batches)
-        if statistics.batched_tgd_triggers:
-            self._batched_triggers_series.inc(statistics.batched_tgd_triggers)
-        if statistics.interned_terms:
-            self._interned_terms_series.inc(statistics.interned_terms)
-        if statistics.union_find_unions:
-            self._union_find_unions_series.inc(statistics.union_find_unions)
-        if statistics.union_find_finds:
-            self._union_find_finds_series.inc(statistics.union_find_finds)
-        if statistics.column_probes:
-            self._column_probes_series.inc(statistics.column_probes)
+        self.registry.add_counts(self._chase_work, (
+            statistics.fd_steps, statistics.egd_steps,
+            statistics.ind_applications, statistics.tgd_applications,
+            statistics.merged_conjuncts, statistics.triggers_examined,
+            statistics.index_hits, statistics.delta_seeded_matches,
+            statistics.trigger_cache_hits, statistics.interned_terms,
+            statistics.union_find_unions, statistics.union_find_finds,
+            statistics.column_probes))
 
     def homomorphism(self, atoms: int, found: int) -> None:
         self._hom_children["true" if found else "false"].inc()

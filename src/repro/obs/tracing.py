@@ -13,7 +13,8 @@ that context (:meth:`Tracer.start_trace`), and the code it runs opens
 **child spans** for its phases (:func:`maybe_span`): parse, cache
 lookup, termination analysis, chase, homomorphism search.  Finished
 traces land in the process's :class:`TraceStore` ring buffer, queryable
-via the ``obs.trace`` protocol op; a worker additionally returns its
+via the ``obs.trace`` protocol op (spans are serialized when read, so a
+trace nobody looks at never pays for it); a worker additionally returns its
 serialized spans in the response envelope when the context asked to
 ``collect``, which is how a coordinator absorbs a node's spans into its
 own store — one ``obs.trace`` lookup at the coordinator then shows the
@@ -38,7 +39,7 @@ import threading
 from collections import OrderedDict, deque
 from itertools import count
 from contextvars import ContextVar
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.obs.clock import monotonic, wall_time
 from repro.obs.metrics import get_registry
@@ -56,30 +57,31 @@ __all__ = [
 ]
 
 
-def new_trace_id() -> str:
-    return os.urandom(16).hex()
-
-
-# Span ids must be unique across every process whose spans can land in
-# one store (a coordinator absorbs its nodes' spans, and the store
-# deduplicates by span id) — but an ``os.urandom`` syscall per span is
+# Trace and span ids must be unique across every process whose spans can
+# land in one store (a coordinator absorbs its nodes' spans, and the store
+# deduplicates by span id) — but an ``os.urandom`` syscall per id is
 # measurable on the chase hot path (benchmark E20).  A random per-process
-# prefix plus a process-local counter gives the same 16-hex-char shape
-# at the cost of one ``next()``.
-_SPAN_ID_PREFIX = os.urandom(4).hex()
-_SPAN_ID_COUNTER = count(1)
-
-
-def _reseed_span_ids() -> None:
-    # A forked worker inherits the parent's prefix *and* counter state;
-    # without a fresh prefix two pool workers would mint identical ids.
-    global _SPAN_ID_PREFIX, _SPAN_ID_COUNTER
+# prefix plus a process-local counter gives the same 32-hex-char trace id
+# and 16-hex-char span id shapes at the cost of one ``next()``.
+def _seed_ids() -> None:
+    # Also run in a forked worker, which inherits the parent's prefixes
+    # *and* counter states; without fresh prefixes two pool workers would
+    # mint identical ids.
+    global _TRACE_ID_PREFIX, _TRACE_ID_COUNTER, _SPAN_ID_PREFIX, _SPAN_ID_COUNTER
+    _TRACE_ID_PREFIX = os.urandom(8).hex()
+    _TRACE_ID_COUNTER = count(1)
     _SPAN_ID_PREFIX = os.urandom(4).hex()
     _SPAN_ID_COUNTER = count(1)
 
 
+_seed_ids()
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_reseed_span_ids)
+    os.register_at_fork(after_in_child=_seed_ids)
+
+
+def new_trace_id() -> str:
+    return (f"{_TRACE_ID_PREFIX}"
+            f"{next(_TRACE_ID_COUNTER) & 0xFFFFFFFFFFFFFFFF:016x}")
 
 
 def new_span_id() -> str:
@@ -216,20 +218,35 @@ class _TraceContext:
         return False
 
 
+#: A stored span: this process's own finished :class:`Span`, or the dict
+#: form of one absorbed from another process.
+StoredSpan = Union[Span, Dict[str, Any]]
+
+
+def _span_dict(span: StoredSpan) -> Dict[str, Any]:
+    return span.as_dict() if isinstance(span, Span) else span
+
+
+def _span_id(span: StoredSpan) -> Optional[str]:
+    return span.span_id if isinstance(span, Span) else span.get("span_id")
+
+
 class TraceStore:
     """A bounded, insertion-ordered map of finished traces.
 
     Spans arriving for a trace already present (a node's spans absorbed
     after the coordinator's own, a retried request reusing its id) are
-    merged onto it; the oldest traces fall off the end.
+    merged onto it; the oldest traces fall off the end.  This process's
+    own spans are kept as finished :class:`Span` objects and serialized
+    only when read, so recording a trace costs no per-span conversion.
     """
 
     def __init__(self, max_traces: int = 512):
         self._max_traces = max_traces
         self._lock = threading.Lock()
-        self._traces: "OrderedDict[str, List[Dict[str, Any]]]" = OrderedDict()
+        self._traces: "OrderedDict[str, List[StoredSpan]]" = OrderedDict()
 
-    def record(self, trace_id: str, spans: List[Dict[str, Any]]) -> None:
+    def record(self, trace_id: str, spans: Sequence[StoredSpan]) -> None:
         if not spans:
             return
         with self._lock:
@@ -237,9 +254,9 @@ class TraceStore:
             if existing is None:
                 self._traces[trace_id] = list(spans)
             else:
-                known = {span.get("span_id") for span in existing}
+                known = {_span_id(span) for span in existing}
                 existing.extend(span for span in spans
-                                if span.get("span_id") not in known)
+                                if _span_id(span) not in known)
             self._traces.move_to_end(trace_id)
             while len(self._traces) > self._max_traces:
                 self._traces.popitem(last=False)
@@ -247,14 +264,19 @@ class TraceStore:
     def get(self, trace_id: str) -> Optional[List[Dict[str, Any]]]:
         with self._lock:
             spans = self._traces.get(trace_id)
-            return list(spans) if spans is not None else None
+            if spans is None:
+                return None
+            spans = list(spans)
+        return [_span_dict(span) for span in spans]
 
     def recent(self, limit: int = 20) -> List[Dict[str, Any]]:
         """Newest-first summaries: trace id, root name, duration, span count."""
         with self._lock:
-            items = list(self._traces.items())[-max(0, limit):]
+            items = [(trace_id, list(spans)) for trace_id, spans
+                     in list(self._traces.items())[-max(0, limit):]]
         summaries = []
-        for trace_id, spans in reversed(items):
+        for trace_id, stored in reversed(items):
+            spans = [_span_dict(span) for span in stored]
             root = next((span for span in spans if not span.get("parent_id")),
                         spans[0] if spans else None)
             summaries.append({
@@ -288,7 +310,7 @@ class SlowOpLog:
         self._lock = threading.Lock()
         self._entries: "deque[Dict[str, Any]]" = deque(maxlen=max_entries)
 
-    def offer(self, root: Span, spans: List[Dict[str, Any]]) -> None:
+    def offer(self, root: Span, spans: Sequence[StoredSpan]) -> None:
         threshold = self.threshold_s
         if (threshold is None or root.duration_s is None
                 or root.duration_s < threshold):
@@ -299,7 +321,7 @@ class SlowOpLog:
             "start_s": round(root.start_s, 6),
             "duration_s": round(root.duration_s, 9),
             "threshold_s": threshold,
-            "spans": list(spans),
+            "spans": [_span_dict(span) for span in spans],
         }
         with self._lock:
             self._entries.append(entry)
@@ -340,9 +362,8 @@ class Tracer:
         sink = root._sink or [root]
         if root._dropped:
             root.tags["spans_dropped"] = root._dropped
-        spans = [span.as_dict() for span in sink]
-        self.store.record(root.trace_id, spans)
-        self.slow_log.offer(root, spans)
+        self.store.record(root.trace_id, sink)
+        self.slow_log.offer(root, sink)
 
     def absorb(self, trace_id: str, spans: List[Dict[str, Any]]) -> None:
         """Merge spans serialized by another process into this store."""

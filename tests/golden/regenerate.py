@@ -7,8 +7,10 @@ Run from the repository root after an *intentional* semantic change::
 The corpus pins the paper's worked examples — the Figure 1 infinite
 chases and the intro example's Theorem 2 containment (IND-only and
 key-based) — as serialized chase results and containment certificates.
-``tests/test_golden_corpus.py`` replays them against both chase engines,
-so any engine change that silently drifts from these results fails CI.
+They are generated with the legacy reference engine, and
+``tests/test_golden_corpus.py`` replays them against every registered
+engine, so any engine change that silently drifts from these results
+fails CI.
 
 Only commit regenerated files together with the engine change that
 justifies them; the diff *is* the review surface.
@@ -43,7 +45,7 @@ def _chase_documents():
          ChaseVariant.RESTRICTED, 3),
     )
     for name, query, sigma, variant, level in cases:
-        config = ChaseConfig(variant=variant, max_level=level, engine="indexed")
+        config = ChaseConfig(variant=variant, max_level=level, engine="legacy")
         result = build_engine(query, sigma, config).run()
         yield name, chase_result_to_dict(result, include_trace=True)
 
@@ -59,7 +61,7 @@ def _containment_documents():
          intro_kb.dependencies),
     )
     for name, query, query_prime, sigma in cases:
-        solver = Solver(SolverConfig(chase_engine="indexed", with_certificate=True))
+        solver = Solver(SolverConfig(chase_engine="legacy", with_certificate=True))
         result = solver.is_contained(query, query_prime, sigma)
         assert result.holds and result.certificate is not None, name
         assert result.certificate.verify(), name

@@ -19,7 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import Solver, SolverConfig
-from repro.chase.engine import ChaseConfig, ChaseEngine, ChaseVariant
+from repro.chase.engine import ChaseConfig, ChaseVariant
 from repro.chase.columnar import ColumnarChaseEngine
 from repro.chase.legacy_engine import LegacyChaseEngine
 from repro.chase.termination import (
@@ -50,7 +50,7 @@ from repro.service.protocol import ServiceDefaults, handle_record, make_worker_s
 from repro.terms.term import Constant, DistinguishedVariable, Variable
 from repro.workloads import EmbeddedDependencyGenerator, SchemaGenerator
 
-ENGINES = ("indexed", "legacy", "columnar")
+ENGINES = ("legacy", "columnar")
 
 
 @pytest.fixture
@@ -66,20 +66,15 @@ def x(name: str) -> Variable:
 
 def chase_both_engines(query, sigma, variant=ChaseVariant.RESTRICTED,
                        max_level=None, max_conjuncts=5_000):
-    """Chase under every engine; return the historical (indexed, legacy) pair.
-
-    The columnar engine rides along inside: it is asserted node-for-node
-    against the indexed result here, so every embedded-Σ scenario in this
-    file certifies all three engines without changing call sites.
-    """
+    """Chase under both engines, assert node-for-node agreement, and
+    return the (columnar, legacy) pair."""
     config_kwargs = dict(variant=variant, max_level=max_level,
                          max_conjuncts=max_conjuncts)
-    indexed = ChaseEngine(query, sigma, ChaseConfig(**config_kwargs)).run()
-    legacy = LegacyChaseEngine(query, sigma, ChaseConfig(**config_kwargs)).run()
     columnar = ColumnarChaseEngine(query, sigma,
                                    ChaseConfig(**config_kwargs)).run()
-    assert_same_chase(indexed, columnar)
-    return indexed, legacy
+    legacy = LegacyChaseEngine(query, sigma, ChaseConfig(**config_kwargs)).run()
+    assert_same_chase(columnar, legacy)
+    return columnar, legacy
 
 
 def assert_same_chase(first, second):
@@ -347,12 +342,12 @@ class TestEmbeddedChase:
         ], schema=rst_schema)
         query = parse_query("Q(a) :- R(a, b)", rst_schema)
         for variant in (ChaseVariant.RESTRICTED, ChaseVariant.OBLIVIOUS):
-            indexed, legacy = chase_both_engines(query, sigma, variant=variant)
-            assert_same_chase(indexed, legacy)
-            assert indexed.saturated
-            relations = [node.relation for node in indexed.graph]
+            columnar, legacy = chase_both_engines(query, sigma, variant=variant)
+            assert_same_chase(columnar, legacy)
+            assert columnar.saturated
+            relations = [node.relation for node in columnar.graph]
             assert relations == ["R", "S", "T"]
-            assert indexed.statistics.tgd_steps == 2
+            assert columnar.statistics.tgd_steps == 2
 
     def test_multi_atom_body_joins(self, rst_schema):
         """A two-atom body fires only when the join value matches."""
@@ -361,15 +356,15 @@ class TestEmbeddedChase:
                 [Conjunct("T", [x("u"), x("w")])]),
         ], schema=rst_schema)
         joined = parse_query("Q(a) :- R(a, b), S(b, c)", rst_schema)
-        indexed, legacy = chase_both_engines(joined, sigma)
-        assert_same_chase(indexed, legacy)
-        assert indexed.saturated and len(indexed) == 3
-        assert [n.relation for n in indexed.graph][-1] == "T"
+        columnar, legacy = chase_both_engines(joined, sigma)
+        assert_same_chase(columnar, legacy)
+        assert columnar.saturated and len(columnar) == 3
+        assert [n.relation for n in columnar.graph][-1] == "T"
 
         disjoint = parse_query("Q(a) :- R(a, b), S(c, d)", rst_schema)
-        indexed, legacy = chase_both_engines(disjoint, sigma)
-        assert_same_chase(indexed, legacy)
-        assert indexed.saturated and len(indexed) == 2  # trigger never fires
+        columnar, legacy = chase_both_engines(disjoint, sigma)
+        assert_same_chase(columnar, legacy)
+        assert columnar.saturated and len(columnar) == 2  # trigger never fires
 
     def test_shared_existential_creates_one_ndv(self, rst_schema):
         """One head existential used twice denotes a single fresh value."""
@@ -378,13 +373,13 @@ class TestEmbeddedChase:
                 [Conjunct("S", [x("u"), x("w")]), Conjunct("T", [x("w"), x("v")])]),
         ], schema=rst_schema)
         query = parse_query("Q(a) :- R(a, b)", rst_schema)
-        indexed, legacy = chase_both_engines(query, sigma)
-        assert_same_chase(indexed, legacy)
-        nodes = list(indexed.graph)
+        columnar, legacy = chase_both_engines(query, sigma)
+        assert_same_chase(columnar, legacy)
+        nodes = list(columnar.graph)
         assert [node.relation for node in nodes] == ["R", "S", "T"]
         s_node, t_node = nodes[1], nodes[2]
         assert s_node.conjunct.terms[1] == t_node.conjunct.terms[0]
-        assert indexed.statistics.tgd_steps == 1  # one trigger, two conjuncts
+        assert columnar.statistics.tgd_steps == 1  # one trigger, two conjuncts
 
     def test_r_chase_skips_satisfied_heads(self, rst_schema):
         sigma = DependencySet([
@@ -392,10 +387,10 @@ class TestEmbeddedChase:
                 [Conjunct("S", [x("u"), x("v")])]),
         ], schema=rst_schema)
         query = parse_query("Q(a) :- R(a, b), S(a, b)", rst_schema)
-        indexed, legacy = chase_both_engines(query, sigma)
-        assert_same_chase(indexed, legacy)
-        assert indexed.saturated and len(indexed) == 2
-        assert indexed.statistics.tgd_steps == 0
+        columnar, legacy = chase_both_engines(query, sigma)
+        assert_same_chase(columnar, legacy)
+        assert columnar.saturated and len(columnar) == 2
+        assert columnar.statistics.tgd_steps == 0
 
     def test_o_chase_redundant_verbatim_head(self, rst_schema):
         """The O-chase applies a full TGD whose head exists verbatim once."""
@@ -404,12 +399,12 @@ class TestEmbeddedChase:
                 [Conjunct("S", [x("u"), x("v")])]),
         ], schema=rst_schema)
         query = parse_query("Q(a) :- R(a, b), S(a, b)", rst_schema)
-        indexed, legacy = chase_both_engines(query, sigma,
+        columnar, legacy = chase_both_engines(query, sigma,
                                              variant=ChaseVariant.OBLIVIOUS)
-        assert_same_chase(indexed, legacy)
-        assert indexed.saturated and len(indexed) == 2
-        assert indexed.statistics.redundant_tgd_applications == 1
-        assert indexed.statistics.total_steps == len(indexed.trace)
+        assert_same_chase(columnar, legacy)
+        assert columnar.saturated and len(columnar) == 2
+        assert columnar.statistics.redundant_tgd_applications == 1
+        assert columnar.statistics.total_steps == len(columnar.trace)
 
     def test_egd_merges_like_fd(self, rst_schema):
         fd_sigma = DependencySet([FunctionalDependency("S", ["c"], "d")],
@@ -419,12 +414,12 @@ class TestEmbeddedChase:
             schema=rst_schema)
         query = parse_query("Q(a) :- S(a, b), S(a, c), R(b, c)", rst_schema)
         fd_result, _ = chase_both_engines(query, fd_sigma)
-        egd_indexed, egd_legacy = chase_both_engines(query, egd_sigma)
-        assert_same_chase(egd_indexed, egd_legacy)
-        assert egd_indexed.statistics.egd_steps == 1
+        egd_columnar, egd_legacy = chase_both_engines(query, egd_sigma)
+        assert_same_chase(egd_columnar, egd_legacy)
+        assert egd_columnar.statistics.egd_steps == 1
         assert ([c.terms for c in fd_result.conjuncts()]
-                == [c.terms for c in egd_indexed.conjuncts()])
-        assert fd_result.summary_row == egd_indexed.summary_row
+                == [c.terms for c in egd_columnar.conjuncts()])
+        assert fd_result.summary_row == egd_columnar.summary_row
 
     def test_egd_constant_clash_fails_with_prefix_stats(self, rst_schema):
         sigma = DependencySet([
@@ -434,9 +429,9 @@ class TestEmbeddedChase:
                  Conjunct("S", [x("u"), x("w")])], x("v"), x("w")),
         ], schema=rst_schema)
         query = parse_query("Q(a) :- R(1, 2), S(1, 3), R(a, b)", rst_schema)
-        indexed, legacy = chase_both_engines(query, sigma, max_level=4)
-        assert indexed.failed and legacy.failed
-        for result in (indexed, legacy):
+        columnar, legacy = chase_both_engines(query, sigma, max_level=4)
+        assert columnar.failed and legacy.failed
+        for result in (columnar, legacy):
             assert result.failure_dependency == "S(u, v), S(u, w) -> v = w"
             assert result.failure_live_conjuncts == 4
             assert result.statistics.max_level_reached == 1
@@ -448,10 +443,10 @@ class TestEmbeddedChase:
                 [Conjunct("R", [x("v"), x("w")])]),
         ], schema=rst_schema)
         query = parse_query("Q(a) :- R(a, b)", rst_schema)
-        indexed, legacy = chase_both_engines(query, sigma, max_level=3)
-        assert_same_chase(indexed, legacy)
-        assert indexed.truncated and not indexed.saturated
-        assert indexed.max_level() == 3
+        columnar, legacy = chase_both_engines(query, sigma, max_level=3)
+        assert_same_chase(columnar, legacy)
+        assert columnar.truncated and not columnar.saturated
+        assert columnar.max_level() == 3
 
     def test_mixed_ind_and_tgd_selection_is_deterministic(self, rst_schema):
         sigma = DependencySet([
@@ -461,11 +456,11 @@ class TestEmbeddedChase:
         ], schema=rst_schema)
         query = parse_query("Q(a) :- R(a, b)", rst_schema)
         for variant in (ChaseVariant.RESTRICTED, ChaseVariant.OBLIVIOUS):
-            indexed, legacy = chase_both_engines(query, sigma, variant=variant)
-            assert_same_chase(indexed, legacy)
-            assert indexed.saturated
+            columnar, legacy = chase_both_engines(query, sigma, variant=variant)
+            assert_same_chase(columnar, legacy)
+            assert columnar.saturated
             # The IND fires before the TGD on the same source node.
-            assert [n.relation for n in indexed.graph] == ["R", "S", "T"]
+            assert [n.relation for n in columnar.graph] == ["R", "S", "T"]
 
     def test_seeded_generator_sweep_differential(self):
         """Random weakly-acyclic Σ: both engines agree, chases saturate."""
@@ -475,10 +470,10 @@ class TestEmbeddedChase:
             sigma = generator.weakly_acyclic(3, egd_count=1)
             assert analyse_termination(sigma, schema).weakly_acyclic
             query = parse_query("Q(v) :- R1(v, b, c)", schema)
-            indexed, legacy = chase_both_engines(query, sigma,
+            columnar, legacy = chase_both_engines(query, sigma,
                                                  max_conjuncts=2_000)
-            assert_same_chase(indexed, legacy)
-            assert indexed.saturated or indexed.failed
+            assert_same_chase(columnar, legacy)
+            assert columnar.saturated or columnar.failed
 
 
 # ---------------------------------------------------------------------------
@@ -620,9 +615,9 @@ class TestEmbeddedContainment:
             "\n".join(str(d) for d in sigma), rst_schema)
         assert reparsed == sigma
         query = parse_query("Q(a) :- R(a, b)", rst_schema)
-        indexed, legacy = chase_both_engines(query, sigma)
-        assert_same_chase(indexed, legacy)
-        assert indexed.saturated
+        columnar, legacy = chase_both_engines(query, sigma)
+        assert_same_chase(columnar, legacy)
+        assert columnar.saturated
         result = Solver().is_contained(
             query, parse_query("Q(a) :- R(a, b), S(b, c)", rst_schema), sigma)
         assert result.holds and result.certain
@@ -841,18 +836,18 @@ class TestMergeLoweredHeapLevels:
             InclusionDependency("P", ["x"], "Z", ["x"]),
         ], schema=schema)
         query = parse_query("Q(u, v) :- R(u, v), A(u)", schema)
-        indexed, legacy = chase_both_engines(
+        columnar, legacy = chase_both_engines(
             query, sigma, variant=ChaseVariant.OBLIVIOUS, max_level=8)
-        assert_same_chase(indexed, legacy)
+        assert_same_chase(columnar, legacy)
         by_relation = {}
-        for node in indexed.graph:
+        for node in columnar.graph:
             by_relation.setdefault(node.relation, node)
         assert "Z" in by_relation and "H" in by_relation
         # The P node's level drops below D's after the merges, so the
         # P ⊆ Z expansion outranks D ⊆ H.  Stale insert-time heap keys
         # invert this order.
         assert by_relation["Z"].node_id < by_relation["H"].node_id
-        assert indexed.statistics.merged_conjuncts > 0
+        assert columnar.statistics.merged_conjuncts > 0
 
 
 class TestEmbeddedArityGuards:
@@ -922,21 +917,21 @@ class TestUnsafeEGDRejection:
                  Conjunct("S", [x("u"), x("w")])], x("v"), x("w")),
         ], schema=rst_schema)
         query = parse_query("Q(a) :- S(a, b), S(a, c)", rst_schema)
-        indexed, legacy = chase_both_engines(query, sigma)
-        assert_same_chase(indexed, legacy)
-        assert indexed.statistics.egd_steps == 1
+        columnar, legacy = chase_both_engines(query, sigma)
+        assert_same_chase(columnar, legacy)
+        assert columnar.statistics.egd_steps == 1
 
 
 # ---------------------------------------------------------------------------
-# PR 8 differential sweep: semi-naive + batched vs the unbatched reference
+# Differential sweep: the semi-naive columnar engine vs the legacy reference
 # ---------------------------------------------------------------------------
 
 
 class TestSemiNaiveDifferentialSweep:
     def test_fifty_case_sweep_agrees_node_for_node(self):
         """50 seeded weakly-acyclic workloads (merge-heavy 2-EGD variants
-        included): the semi-naive, batch-applying indexed engine stays
-        node-for-node identical to the unbatched legacy reference."""
+        included): the semi-naive columnar engine stays node-for-node
+        identical to the full-rescan legacy reference."""
         from repro.containment.serialization import chase_result_to_dict
         cases = 0
         delta_matches = 0
@@ -953,18 +948,17 @@ class TestSemiNaiveDifferentialSweep:
                 query = parse_query(query_text, schema)
                 sigma = generator.weakly_acyclic(3, egd_count=egd_count)
                 assert analyse_termination(sigma, schema).weakly_acyclic
-                indexed, legacy = chase_both_engines(query, sigma,
+                columnar, legacy = chase_both_engines(query, sigma,
                                                      max_conjuncts=2_000)
-                assert_same_chase(indexed, legacy)
-                assert indexed.saturated or indexed.failed
+                assert_same_chase(columnar, legacy)
+                assert columnar.saturated or columnar.failed
                 cases += 1
-                statistics = indexed.statistics
+                statistics = columnar.statistics
                 delta_matches += statistics.delta_seeded_matches
                 cache_hits += statistics.trigger_cache_hits
                 merges += statistics.merged_conjuncts
-                document = chase_result_to_dict(indexed)["statistics"]
-                for key in ("delta_seeded_matches", "trigger_cache_hits",
-                            "tgd_batches", "batched_tgd_triggers"):
+                document = chase_result_to_dict(columnar)["statistics"]
+                for key in ("delta_seeded_matches", "trigger_cache_hits"):
                     assert document[key] == getattr(statistics, key)
         assert cases >= 50
         # The semi-naive machinery must actually engage across the sweep.
@@ -972,25 +966,29 @@ class TestSemiNaiveDifferentialSweep:
         assert cache_hits >= 0  # tiny workloads may saturate in one round
         assert merges > 0  # the 2-EGD workloads exercise the merge paths
 
-    def test_deep_workload_exercises_caches_and_batches(self):
-        """The benchmark-grade chain workload must drive every new
-        counter: delta-seeded matches, trigger cache hits, and at least
-        one commuting batch — with the legacy reference still agreeing."""
-        from repro.workloads import QueryGenerator
-        schema = SchemaGenerator(seed=5).uniform(5, 3)
-        _, tgds = EmbeddedDependencyGenerator(schema, seed=5).ind_expressible(
-            6, max_width=2)
-        query = QueryGenerator(schema, seed=5).chain(3, name="Qe")
-        indexed, legacy = chase_both_engines(query, tgds)
-        assert_same_chase(indexed, legacy)
-        statistics = indexed.statistics
-        assert statistics.delta_seeded_matches > 0
-        assert statistics.trigger_cache_hits > 0
-        assert statistics.tgd_batches > 0
-        assert statistics.batched_tgd_triggers > 0
-        # The legacy engine is the unbatched reference: it never batches.
-        assert legacy.statistics.tgd_batches == 0
-        assert legacy.statistics.batched_tgd_triggers == 0
+    def test_deep_workload_exercises_caches(self):
+        """Two parallel chains of two-atom-head TGDs — rules the columnar
+        engine routes through the semi-naive trigger index rather than
+        its pending heap — must drive both counters (delta-seeded matches
+        and trigger cache hits), with the legacy reference still agreeing
+        node for node."""
+        depth = 6
+        schema = DatabaseSchema.from_dict({
+            f"{prefix}{level}": ["x", "y"]
+            for prefix in "ABS" for level in range(depth + 1)})
+        sigma = DependencySet([
+            TGD([Conjunct(f"{prefix}{level}", [x("u"), x("v")])],
+                [Conjunct(f"{prefix}{level + 1}", [x("v"), x("w")]),
+                 Conjunct(f"S{level + 1}", [x("w"), x("u")])])
+            for prefix in "AB" for level in range(depth)], schema=schema)
+        query = parse_query("Q(a) :- A0(a, b), B0(a, c)", schema)
+        for variant in (ChaseVariant.RESTRICTED, ChaseVariant.OBLIVIOUS):
+            columnar, legacy = chase_both_engines(query, sigma, variant=variant)
+            assert_same_chase(columnar, legacy)
+            assert columnar.saturated and len(columnar) == 2 + 4 * depth
+            statistics = columnar.statistics
+            assert statistics.delta_seeded_matches > 0
+            assert statistics.trigger_cache_hits > 0
 
     @pytest.mark.parametrize("seed", range(10))
     def test_containment_verdicts_agree_between_engines(self, seed):

@@ -1,14 +1,14 @@
 """The chase-engine registry: one name → factory table behind every layer.
 
-Certifies the registry satellite of the columnar-core PR:
+Certifies:
 
-* registration, listing, and the replace-guard;
+* registration, listing, and the replace-guard — the built-ins are
+  exactly the columnar production engine and the legacy reference;
 * the one shared validator (``ChaseConfig`` and ``SolverConfig`` both
   funnel through it, so unknown names produce the *same* error, listing
   the registered names);
 * ``None`` resolution through ``$REPRO_CHASE_ENGINE`` down to the
-  ``indexed`` default;
-* the deprecated ``CHASE_ENGINES`` view staying live and tuple-like;
+  ``columnar`` default;
 * every registered built-in engine conforming to
   :class:`ChaseEngineProtocol` — including the graph/statistics surface
   being usable *before and after* ``run()``.
@@ -19,12 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import SolverConfig
-from repro.chase.engine import (
-    CHASE_ENGINES,
-    ChaseConfig,
-    ChaseResult,
-    build_engine,
-)
+from repro.chase.engine import ChaseConfig, ChaseResult, build_engine
 from repro.chase.chase_graph import ChaseGraph
 from repro.chase.registry import (
     CHASE_ENGINE_ENV_VAR,
@@ -39,7 +34,7 @@ from repro.chase.registry import (
 from repro.exceptions import ChaseError, ReproError
 from repro.parser import parse_dependencies, parse_query, parse_schema
 
-BUILTINS = ("indexed", "legacy", "columnar")
+BUILTINS = ("legacy", "columnar")
 
 
 @pytest.fixture
@@ -52,15 +47,18 @@ def workload():
 
 class TestRegistryBasics:
     def test_builtins_registered_in_order(self):
-        names = available_engines()
-        for builtin in BUILTINS:
-            assert builtin in names
-        # Registration order: the engine module registers indexed first.
-        assert names.index("indexed") < names.index("legacy")
+        # Exactly the production engine and the reference oracle, in the
+        # engine module's registration order.
+        assert available_engines() == BUILTINS
+
+    def test_retired_indexed_engine_is_rejected(self):
+        with pytest.raises(ChaseError,
+                           match="registered engines: 'legacy', 'columnar'"):
+            ChaseConfig(engine="indexed")
 
     def test_register_requires_replace_for_existing_name(self, workload):
         with pytest.raises(ChaseError, match="already registered"):
-            register_engine("indexed", lambda q, d, c: None)
+            register_engine("columnar", lambda q, d, c: None)
 
     def test_register_rejects_bad_names(self):
         with pytest.raises(ChaseError):
@@ -74,7 +72,7 @@ class TestRegistryBasics:
 
         def factory(q, d, c):
             calls.append((q, d, c))
-            return build_engine(q, d, ChaseConfig(engine="indexed"))
+            return build_engine(q, d, ChaseConfig(engine="columnar"))
 
         register_engine("test-custom", factory, replace=True)
         try:
@@ -99,7 +97,7 @@ class TestOneSharedValidator:
     """Unknown engine names fail identically at every layer."""
 
     def test_error_lists_registered_names(self):
-        with pytest.raises(ChaseError, match="'indexed'.*'legacy'.*'columnar'"):
+        with pytest.raises(ChaseError, match="'legacy'.*'columnar'"):
             validate_engine_name("bogus")
 
     def test_chase_config_funnels_through_validator(self):
@@ -131,9 +129,9 @@ class TestResolution:
         monkeypatch.setenv(CHASE_ENGINE_ENV_VAR, "columnar")
         assert resolve_engine_name(None) == "columnar"
 
-    def test_none_without_environment_is_indexed(self, monkeypatch):
+    def test_none_without_environment_is_columnar(self, monkeypatch):
         monkeypatch.delenv(CHASE_ENGINE_ENV_VAR, raising=False)
-        assert resolve_engine_name(None) == "indexed"
+        assert resolve_engine_name(None) == "columnar"
 
     def test_environment_name_is_validated(self, monkeypatch):
         monkeypatch.setenv(CHASE_ENGINE_ENV_VAR, "bogus")
@@ -142,27 +140,9 @@ class TestResolution:
 
     def test_build_engine_honours_environment(self, workload, monkeypatch):
         query, sigma = workload
-        monkeypatch.setenv(CHASE_ENGINE_ENV_VAR, "columnar")
+        monkeypatch.setenv(CHASE_ENGINE_ENV_VAR, "legacy")
         result = build_engine(query, sigma, ChaseConfig()).run()
-        assert result.engine == "columnar"
-
-
-class TestDeprecatedView:
-    def test_view_is_live_and_tuple_like(self):
-        assert tuple(CHASE_ENGINES) == available_engines()
-        assert "columnar" in CHASE_ENGINES
-        assert CHASE_ENGINES[0] == available_engines()[0]
-        assert len(CHASE_ENGINES) == len(available_engines())
-        assert CHASE_ENGINES == available_engines()
-
-    def test_view_reflects_registrations(self):
-        register_engine("test-live-view", lambda q, d, c: None, replace=True)
-        try:
-            assert "test-live-view" in CHASE_ENGINES
-        finally:
-            from repro.chase import registry as registry_module
-            del registry_module._REGISTRY["test-live-view"]
-        assert "test-live-view" not in CHASE_ENGINES
+        assert result.engine == "legacy"
 
 
 class TestProtocolConformance:

@@ -34,7 +34,7 @@ from repro.containment.serialization import (
 from repro.workloads.paper_examples import figure1_example, intro_example, intro_example_key_based
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
-ENGINES = ("indexed", "legacy", "columnar")
+ENGINES = ("legacy", "columnar")
 
 CHASE_CASES = {
     "figure1_rchase_level4.json": ("figure1", ChaseVariant.RESTRICTED, 4),
