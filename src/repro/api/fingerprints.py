@@ -9,6 +9,14 @@ and unequal queries must not collide in practice.
 
 Terms are rendered with a kind tag so a constant ``"x"``, a distinguished
 variable ``x``, and a nondistinguished variable ``x`` stay distinct.
+
+The schema part is :meth:`DatabaseSchema.signature_text`, which owns
+its format and memoises it on the schema object: a tenant's schema is
+shared by all of its requests, so it is rendered once, not once per
+fingerprint.  That text lists relations in insertion order while schema
+equality ignores the order, so equal queries over reordered schemas
+fingerprint differently, a gap in (c) that costs cache hits, never a
+wrong answer.
 """
 
 from __future__ import annotations
@@ -39,12 +47,10 @@ def conjunct_signature(conjunct: Conjunct) -> str:
 
 
 def schema_signature(schema: Optional[DatabaseSchema]) -> str:
+    """The schema part of every fingerprint; ``"-"`` for no schema."""
     if schema is None:
         return "-"
-    return ";".join(
-        f"{name}({','.join(attributes)})"
-        for name, attributes in schema.signature()
-    )
+    return schema.signature_text()
 
 
 def schema_fingerprint(schema: Optional[DatabaseSchema]) -> str:

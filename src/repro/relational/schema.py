@@ -123,6 +123,12 @@ class DatabaseSchema:
     construction and report output deterministic.
     """
 
+    #: Memo of :meth:`signature_text`, cleared by :meth:`add`.  A class
+    #: attribute so schemas pickled before the memo existed (persistent
+    #: cache entries, process-shard payloads) unpickle without it and
+    #: render on first use.
+    _signature_text: Optional[str] = None
+
     def __init__(self, relations: Optional[Iterable[RelationSchema]] = None):
         self._relations: Dict[str, RelationSchema] = {}
         for schema in relations or ():
@@ -135,6 +141,7 @@ class DatabaseSchema:
         if schema.name in self._relations:
             raise SchemaError(f"duplicate relation name {schema.name!r} in database schema")
         self._relations[schema.name] = schema
+        self._signature_text = None
         return self
 
     def add_relation(self, name: str, attributes: Sequence[AttributeSpec]) -> RelationSchema:
@@ -187,11 +194,30 @@ class DatabaseSchema:
 
         Two schemas whose relations have the same names and attribute
         names (in order) share a signature; content-addressed caches
-        (dependency classification, the solver's fingerprints) key on it
-        so mutating a schema in place cannot serve stale entries.
+        (dependency classification and validation, the compiled chase
+        plan) key on it so mutating a schema in place cannot serve stale
+        entries.  Each call walks every relation; fingerprints read the
+        memoised :meth:`signature_text` instead.
         """
         return tuple(
             (relation.name, relation.attribute_names) for relation in self)
+
+    def signature_text(self) -> str:
+        """The signature's canonical text: ``name(attr,…)`` joined by ``;``.
+
+        Relations appear in insertion order.  Every fingerprint in
+        :mod:`repro.api.fingerprints` embeds this text, so changing the
+        format changes every stored cache key.  It is rendered on first
+        use and memoised until :meth:`add`; the service's tenant parser
+        hands every request of a tenant the same schema, so each tenant
+        is rendered once.  Racing first renders store the same immutable
+        string; a schema must not be mutated while it is shared.
+        """
+        if self._signature_text is None:
+            self._signature_text = ";".join(
+                f"{name}({','.join(attributes)})"
+                for name, attributes in self.signature())
+        return self._signature_text
 
     def restricted_to(self, names: Iterable[str]) -> "DatabaseSchema":
         """A new schema containing only the listed relations."""
