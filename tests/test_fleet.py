@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -503,6 +504,42 @@ class TestFleetEndToEnd:
                     envelope = client.request(record)
                     assert not envelope["ok"]
                     assert envelope["error"]["kind"] == kind
+
+
+def _eventually(predicate, timeout=10.0):
+    """Poll ``predicate`` until it holds or ``timeout`` seconds pass."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+class TestHeartbeatLoop:
+    def test_node_heartbeats_loses_and_rejoins_its_coordinator(self):
+        coordinator = FleetCoordinator(admin_token=TOKEN)
+        threads = [coordinator.run_in_thread()]
+        host, port = threads[0].address[1]
+        pool = ShardedSolverPool(shard_count=1, mode="inline")
+        node = FleetNode("node-0", pool, host, port, TOKEN,
+                         heartbeat_interval=0.1)
+        threads.insert(0, node.run_in_thread())
+        try:
+            assert _eventually(lambda: node.heartbeats_sent >= 1)
+            threads[1].stop()
+            assert _eventually(lambda: not node.registered)
+            # A coordinator restarted on the same port has an empty
+            # registry; the node's next heartbeat re-registers it.
+            replacement = FleetCoordinator(port=port, admin_token=TOKEN)
+            threads.append(replacement.run_in_thread())
+            assert _eventually(lambda: node.registered
+                               and [handle.name for handle in replacement.ring]
+                               == ["node-0"])
+        finally:
+            for thread in threads:
+                thread.stop()
+            pool.close()
 
 
 # ---------------------------------------------------------------------------
