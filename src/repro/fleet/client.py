@@ -1,12 +1,13 @@
 """A :class:`~repro.service.client.ServiceClient` that speaks the admin tier.
 
 Data-plane calls (:meth:`contain`, :meth:`chase`, …) are inherited
-unchanged — a coordinator answers them like any node.  The additions
-carry the admin token for ``fleet.*`` operations.  Of those only
-``fleet.status`` is idempotent (and so retried on a dropped
-connection); the mutations surface transport errors to the caller,
-naming the op, because "was my drain applied?" is a question only the
-operator can settle.
+unchanged — a coordinator answers them like any node.  Every record
+whose op is ``ADMIN``-tier in :data:`~repro.service.protocol.OPS`
+(``fleet.*``, ``obs.*``, ``catalog.put``/``catalog.drop``) carries the
+admin token.  Of the ``fleet.*`` ops only ``fleet.status`` is retried on
+a dropped connection; the mutations surface transport errors to the
+caller, naming the op, because "was my drain applied?" is a question
+only the operator can settle.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from repro.service.client import ServiceClient
+from repro.service.protocol import ADMIN, op_of
 
 
 class FleetClient(ServiceClient):
@@ -26,23 +28,26 @@ class FleetClient(ServiceClient):
                          timeout=timeout)
         self._admin_token = admin_token
 
-    def _admin(self, op: str, **fields: Any) -> Dict[str, Any]:
-        record = {"op": op, "admin_token": self._admin_token,
-                  **{key: value for key, value in fields.items()
-                     if value is not None}}
-        return self.check(self.request(record))
+    def request(self, record: Dict[str, Any]) -> Dict[str, Any]:
+        """Send one record, adding the admin token to ``ADMIN``-tier ops."""
+        op = op_of(record)
+        if (op is not None and op.available_for == ADMIN
+                and self._admin_token is not None
+                and "admin_token" not in record):
+            record = dict(record, admin_token=self._admin_token)
+        return super().request(record)
 
     def status(self) -> Dict[str, Any]:
         """The coordinator's full fleet snapshot (``fleet.status``)."""
-        return self._admin("fleet.status")
+        return self.check(self.request({"op": "fleet.status"}))
 
     def drain(self, node: str) -> Dict[str, Any]:
         """Stop admitting new work to ``node``; its ring slot is kept."""
-        return self._admin("fleet.drain", node=node)
+        return self.check(self.request({"op": "fleet.drain", "node": node}))
 
     def evacuate(self, node: str) -> Dict[str, Any]:
         """Remove ``node`` from the ring entirely (a deliberate rebalance)."""
-        return self._admin("fleet.evacuate", node=node)
+        return self.check(self.request({"op": "fleet.evacuate", "node": node}))
 
     def set_quota(self, *, schema: Optional[str] = None,
                   deps: Optional[str] = None,
@@ -53,49 +58,20 @@ class FleetClient(ServiceClient):
         """Install a tenant quota (identify the tenant by texts or fingerprints)."""
         quota = {"max_request_cost": max_request_cost,
                  "max_in_flight_cost": max_in_flight_cost}
-        return self._admin("fleet.quota", schema=schema, deps=deps,
-                           schema_fp=schema_fp, deps_fp=deps_fp, quota=quota)
+        return self._quota(quota, schema=schema, deps=deps,
+                           schema_fp=schema_fp, deps_fp=deps_fp)
 
     def clear_quota(self, *, schema: Optional[str] = None,
                     deps: Optional[str] = None,
                     schema_fp: Optional[str] = None,
                     deps_fp: Optional[str] = None) -> Dict[str, Any]:
         """Drop a tenant's explicit quota, reverting it to the default."""
-        record = {"op": "fleet.quota", "admin_token": self._admin_token,
-                  "quota": None,
-                  **{key: value for key, value in
-                     {"schema": schema, "deps": deps, "schema_fp": schema_fp,
-                      "deps_fp": deps_fp}.items() if value is not None}}
+        return self._quota(None, schema=schema, deps=deps,
+                           schema_fp=schema_fp, deps_fp=deps_fp)
+
+    def _quota(self, quota: Optional[Dict[str, Any]],
+               **tenant: Optional[str]) -> Dict[str, Any]:
+        record = {"op": "fleet.quota", "quota": quota,
+                  **{key: value for key, value in tenant.items()
+                     if value is not None}}
         return self.check(self.request(record))
-
-    # -- catalog registration (mutations admin-gated at a coordinator) -------
-
-    def catalog_put(self, views: str, **kwargs: Any) -> Dict[str, Any]:
-        kwargs.setdefault("admin_token", self._admin_token)
-        return super().catalog_put(views, **kwargs)
-
-    def catalog_drop(self, catalog_fp: str, **kwargs: Any) -> Dict[str, Any]:
-        kwargs.setdefault("admin_token", self._admin_token)
-        return super().catalog_drop(catalog_fp, **kwargs)
-
-    # ``catalog_list`` is inherited unchanged: listing is user-tier
-    # everywhere, like ``ping``/``stats``.
-
-    # -- observability (admin-gated at a coordinator) ------------------------
-
-    def obs_metrics(self, **kwargs: Any) -> Dict[str, Any]:
-        kwargs.setdefault("admin_token", self._admin_token)
-        return super().obs_metrics(**kwargs)
-
-    def obs_trace(self, trace_id: Optional[str] = None,
-                  **kwargs: Any) -> Dict[str, Any]:
-        kwargs.setdefault("admin_token", self._admin_token)
-        return super().obs_trace(trace_id, **kwargs)
-
-    def obs_health(self, **kwargs: Any) -> Dict[str, Any]:
-        kwargs.setdefault("admin_token", self._admin_token)
-        return super().obs_health(**kwargs)
-
-    def obs_profile(self, action: str = "status", **kwargs: Any) -> Dict[str, Any]:
-        kwargs.setdefault("admin_token", self._admin_token)
-        return super().obs_profile(action, **kwargs)

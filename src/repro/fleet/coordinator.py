@@ -32,10 +32,12 @@ the tenant's rerouted node.  Workers are pure (every data-plane op is
 idempotent), so the retry is safe, and a response acknowledged to a
 client was by construction computed exactly somewhere.
 
-**Tiers**: data-plane ops (``contain``/``chase``/``rewrite``/``stats``/
-``ping``) are the user tier; ``fleet.*`` ops are the admin tier and
-require the coordinator's admin token (kuberdock-style split — see
-:data:`~repro.service.protocol.ADMIN_OPERATIONS`).
+**Tiers**: each op's tier is declared once, in
+:data:`~repro.service.protocol.OPS` (the kuberdock-style
+``available_for`` split).  The coordinator's port is the tenant-facing
+one, so every ``ADMIN`` op — ``fleet.*``, ``obs.*``, ``catalog.put`` and
+``catalog.drop`` — needs its admin token, checked in one place before
+the record is validated.
 """
 
 from __future__ import annotations
@@ -56,28 +58,29 @@ from repro.fleet.capacity import (
     TenantLedger,
     TenantQuota,
 )
-from repro.obs import ensure_default_probe
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import get_tracer, maybe_span, new_trace_id
 from repro.parser.query_parser import parse_query
 from repro.service.protocol import (
-    ADMIN_OPERATIONS,
-    CATALOG_OPERATIONS,
-    OBS_OPERATIONS,
+    ADMIN,
     PROTOCOL_VERSION,
     STREAM_LIMIT,
     CatalogStore,
     ProtocolError,
     ServiceDefaults,
     TenantParser,
+    decode_line,
     error_envelope,
+    exception_envelope,
     handle_catalog_record,
     handle_obs_record,
+    op_of,
+    resolve_catalog_record,
     routing_fingerprints,
     shard_for,
     validate_record,
 )
-from repro.service.server import ServiceThread, _peek_id
+from repro.service.server import LineServer
 
 
 class NodeConnection:
@@ -211,7 +214,7 @@ class NodeHandle:
         }
 
 
-class FleetCoordinator:
+class FleetCoordinator(LineServer):
     """The NDJSON front end over a ring of registered solver nodes.
 
     ``heartbeat_timeout`` is how long a silent node stays routable; the
@@ -230,17 +233,7 @@ class FleetCoordinator:
         if heartbeat_timeout <= 0:
             raise ReproError(
                 f"heartbeat_timeout must be positive, got {heartbeat_timeout}")
-        if slow_op_threshold is not None and slow_op_threshold <= 0:
-            raise ReproError(
-                f"slow_op_threshold must be positive (or None to disable "
-                f"the slow-op log), got {slow_op_threshold}")
-        # A coordinator is a server too: same observability opt-in as
-        # SolverService (default probe, optional slow-op log arming).
-        ensure_default_probe()
-        if slow_op_threshold is not None:
-            get_tracer().slow_log.threshold_s = slow_op_threshold
-        self._host = host
-        self._port = port
+        super().__init__(host, port, slow_op_threshold=slow_op_threshold)
         self._admin_token = admin_token
         self.policy = policy
         self.defaults = defaults
@@ -270,21 +263,12 @@ class FleetCoordinator:
             "admitted_clamped": 0,
             "catalog_broadcasts": 0,
         }
-        self._server: Optional[asyncio.AbstractServer] = None
         self._sweeper_task: Optional[asyncio.Task] = None
 
     # -- lifecycle -----------------------------------------------------------
 
-    @property
-    def address(self) -> Tuple[str, Any]:
-        if self._server is not None and self._server.sockets:
-            return ("tcp", self._server.sockets[0].getsockname()[:2])
-        return ("tcp", (self._host, self._port))
-
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, host=self._host, port=self._port,
-            limit=STREAM_LIMIT)
+        await super().start()
         self._sweeper_task = asyncio.create_task(self._sweep_heartbeats())
 
     async def stop(self) -> None:
@@ -297,20 +281,7 @@ class FleetCoordinator:
             self._sweeper_task = None
         for handle in self.ring:
             handle.drop_connection()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        async with self._server:
-            await self._server.serve_forever()
-
-    def run_in_thread(self) -> ServiceThread:
-        """The coordinator on its own daemon event-loop thread."""
-        return ServiceThread(self)
+        await super().stop()
 
     async def _sweep_heartbeats(self) -> None:
         interval = max(0.25, self._heartbeat_timeout / 4)
@@ -331,87 +302,42 @@ class FleetCoordinator:
         handle.status = "dead"
         handle.drop_connection()
 
-    # -- the connection handler (same line discipline as SolverService) ------
-
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                try:
-                    text = line.decode("utf-8")
-                except UnicodeDecodeError as error:
-                    # Reject the bytes, but peek the id through a
-                    # replace-decode so the client can correlate the
-                    # rejection (mirrors SolverService._handle_connection).
-                    envelope = error_envelope(
-                        _peek_id(line.decode("utf-8", errors="replace")),
-                        "protocol",
-                        f"request line is not valid UTF-8: {error}")
-                else:
-                    envelope = await self._answer(text)
-                writer.write(json.dumps(envelope, sort_keys=True,
-                                        default=str).encode("utf-8") + b"\n")
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-            pass
-        except asyncio.CancelledError:
-            pass
-        finally:
-            writer.close()
+    # -- the request front end -----------------------------------------------
 
     async def _answer(self, line: str) -> Dict[str, Any]:
-        stripped = line.strip()
-        if not stripped:
-            return error_envelope(None, "protocol", "empty request line")
         try:
-            record = json.loads(stripped)
-        except json.JSONDecodeError as error:
-            return error_envelope(_peek_id(line), "protocol",
-                                  f"request is not valid JSON: {error}")
-        if not isinstance(record, dict):
-            return error_envelope(
-                None, "protocol",
-                f"request must be a JSON object, got {type(record).__name__}")
-        op = record.get("op", "contain")
+            record = decode_line(line)
+        except ProtocolError as error:
+            return exception_envelope(error, None)
+        op = op_of(record)
         try:
-            if op in ADMIN_OPERATIONS:
+            # The one admin gate, ahead of validation, so a caller
+            # without the token learns nothing about the record's fields.
+            if op is not None and op.available_for == ADMIN:
+                token = record.get("admin_token")
+                if not (isinstance(token, str)
+                        and hmac.compare_digest(token, self._admin_token)):
+                    self.counters["forbidden"] += 1
+                    return error_envelope(
+                        record.get("id"), "forbidden",
+                        f"op {op.name!r} is admin-tier at a coordinator and "
+                        "requires the admin token")
+            if op is not None and op.family == "fleet":
                 return await self._admin(record)
-            if op in CATALOG_OPERATIONS:
-                return await self._catalog(record)
-            if op in OBS_OPERATIONS:
-                # The coordinator's port is the tenant-facing one, so
-                # its obs tier is admin-gated like fleet.* (a worker's
-                # is not — its listener is inside the trust boundary).
-                return self._obs(record)
             record = validate_record(record)
-            if op == "ping":
+            if op.family == "obs":
+                if op.name == "obs.metrics":
+                    self._sync_fleet_gauges()
+                return handle_obs_record(record)
+            if op.family == "catalog":
+                return await self._catalog(record)
+            if op.name == "ping":
                 return self._pong(record)
-            if op == "stats":
+            if op.name == "stats":
                 return await self._fleet_stats(record)
             return await self._forward(record)
-        except ProtocolError as error:
-            return error_envelope(record.get("id"), error.kind, str(error))
-        except ReproError as error:
-            return error_envelope(record.get("id"), "parse", str(error))
-        except Exception as error:  # defensive: bugs become envelopes
-            return error_envelope(record.get("id"), "internal",
-                                  f"{type(error).__name__}: {error}")
-
-    # -- observability tier (admin-gated at the coordinator) -----------------
-
-    def _obs(self, record: Dict[str, Any]) -> Dict[str, Any]:
-        if not self._authorized(record):
-            self.counters["forbidden"] += 1
-            return error_envelope(
-                record.get("id"), "forbidden",
-                f"op {record['op']!r} is admin-tier at a coordinator and "
-                "requires the admin token")
-        if record["op"] == "obs.metrics":
-            self._sync_fleet_gauges()
-        return handle_obs_record(record)
+        except Exception as error:
+            return exception_envelope(error, record.get("id"))
 
     def _sync_fleet_gauges(self) -> None:
         """Mirror the routing counters and ring health into the registry.
@@ -440,25 +366,16 @@ class FleetCoordinator:
     async def _catalog(self, record: Dict[str, Any]) -> Dict[str, Any]:
         """Catalog registration at the fleet tier.
 
-        The mutations (``catalog.put``/``catalog.drop``) are admin-gated
-        like ``fleet.*`` — a tenant-facing port must not let one tenant
-        evict another's registered catalog — applied to the
-        coordinator's own store, then broadcast to every alive node so
-        each can resolve rewrite-by-fingerprint locally.
-        ``catalog.list`` is user-tier (tenants discover what they may
-        reference) and answered straight from the coordinator's store.
+        The mutations (``catalog.put``/``catalog.drop``, admin-gated — a
+        tenant-facing port must not let one tenant evict another's
+        registered catalog) are applied to the coordinator's own store,
+        then broadcast to every alive node so each can resolve
+        rewrite-by-fingerprint locally.  ``catalog.list`` is answered
+        straight from the coordinator's store.
         """
-        record = validate_record(record)
-        op = record["op"]
-        if op != "catalog.list" and not self._authorized(record):
-            self.counters["forbidden"] += 1
-            return error_envelope(
-                record.get("id"), "forbidden",
-                f"op {op!r} is admin-tier at a coordinator and requires "
-                "the admin token")
         envelope = handle_catalog_record(record, self.catalogs,
                                          self.defaults, self._parser)
-        if op == "catalog.list" or not envelope.get("ok"):
+        if record["op"] == "catalog.list" or not envelope.get("ok"):
             return envelope
         # Nodes never see the admin token; their catalog tier is inside
         # the trust boundary, like their obs tier.
@@ -601,39 +518,20 @@ class FleetCoordinator:
                 envelope["spans"] = spans
         return envelope
 
-    def _resolve_catalog_schema(self,
-                                record: Dict[str, Any]) -> Dict[str, Any]:
-        """Give a rewrite-by-fingerprint record a schema for routing.
-
-        The views text itself is *not* substituted — the whole point of
-        registration is that the coordinator forwards the slim record
-        and the node resolves the fingerprint from its own store — but
-        routing and admission need the tenant's schema text, which the
-        registered entry carries.  An unknown fingerprint fails here,
-        fast, instead of on some node.
-        """
-        if (record.get("op") != "rewrite" or record.get("views") is not None
-                or not isinstance(record.get("catalog_fp"), str)):
-            return record
-        entry = self.catalogs.get(record["catalog_fp"])
-        if entry is None:
-            raise ProtocolError(
-                "protocol",
-                f"unknown catalog fingerprint {record['catalog_fp']!r}; "
-                "register the catalog with catalog.put first")
-        if record.get("schema") is None:
-            record = dict(record, schema=entry["schema_text"])
-        return record
-
     async def _forward_inner(self, record: Dict[str, Any],
                              root) -> Dict[str, Any]:
-        record = self._resolve_catalog_schema(record)
+        # Route and price a rewrite-by-fingerprint as the registered
+        # catalog's tenant, but forward the slim record: the node
+        # resolves the fingerprint from its own (broadcast) store, so the
+        # views text is not resent per request.  An unknown fingerprint
+        # fails here, fast, instead of on some node.
+        tenant_record = resolve_catalog_record(record, self.catalogs)
         identifier = record.get("id")
         with maybe_span("fleet.admission") as span:
-            schema_fp, deps_fp = routing_fingerprints(record, self.defaults,
-                                                      self._parser)
+            schema_fp, deps_fp = routing_fingerprints(
+                tenant_record, self.defaults, self._parser)
             tenant = (schema_fp, deps_fp)
-            decision = self._decide(record, tenant)
+            decision = self._decide(tenant_record, tenant)
             if span is not None:
                 span.tags.update(certified=decision.certified,
                                  cost=decision.cost)
@@ -718,18 +616,7 @@ class FleetCoordinator:
 
     # -- admin tier ----------------------------------------------------------
 
-    def _authorized(self, record: Dict[str, Any]) -> bool:
-        token = record.get("admin_token")
-        return isinstance(token, str) and hmac.compare_digest(
-            token, self._admin_token)
-
     async def _admin(self, record: Dict[str, Any]) -> Dict[str, Any]:
-        if not self._authorized(record):
-            self.counters["forbidden"] += 1
-            return error_envelope(
-                record.get("id"), "forbidden",
-                f"op {record['op']!r} is admin-tier and requires the "
-                "coordinator's admin token")
         handler = {
             "fleet.register": self._admin_register,
             "fleet.heartbeat": self._admin_heartbeat,

@@ -27,12 +27,12 @@ whole node on one daemon thread the same way they embed a service.
 from __future__ import annotations
 
 import asyncio
-import json
 from typing import Any, Dict, Optional, Tuple
 
 from repro.exceptions import ReproError
+from repro.fleet.coordinator import NodeConnection
 from repro.service.pool import ShardedSolverPool
-from repro.service.protocol import PROTOCOL_VERSION, STREAM_LIMIT
+from repro.service.protocol import PROTOCOL_VERSION
 from repro.service.server import ServiceThread, SolverService
 
 
@@ -164,28 +164,14 @@ class FleetNode:
         connection state to repair.
         """
         host, port = self._coordinator
+        connection = NodeConnection(host, port)
         try:
-            reader, writer = await asyncio.open_connection(
-                host, port, limit=STREAM_LIMIT)
-        except OSError as error:
+            envelope = await connection.request(record)
+        except OSError as error:  # ConnectionError included
             raise FleetNodeError(
                 f"cannot reach coordinator at {host}:{port}: {error}") from error
-        try:
-            writer.write(json.dumps(record).encode("utf-8") + b"\n")
-            await writer.drain()
-            line = await reader.readline()
-        except OSError as error:
-            raise FleetNodeError(
-                f"coordinator connection failed mid-request: {error}") from error
         finally:
-            writer.close()
-        if not line:
-            raise FleetNodeError("coordinator closed the connection unanswered")
-        try:
-            envelope = json.loads(line)
-        except json.JSONDecodeError as error:
-            raise FleetNodeError(
-                f"coordinator sent a non-JSON line: {error}") from error
+            connection.close()
         if not isinstance(envelope, dict):
             raise FleetNodeError("coordinator sent a non-object envelope")
         return envelope

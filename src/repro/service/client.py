@@ -33,19 +33,14 @@ from typing import Any, Dict, Optional
 
 from repro.exceptions import ReproError
 from repro.obs.tracing import new_trace_id
+from repro.service.protocol import OPS, op_of
 
 #: Operations safe to retry on a fresh connection after a transport
-#: failure: each answers a pure question (no server-side state changes
-#: beyond caches, which are idempotent by definition).  Fleet admin
-#: mutations (``fleet.drain``, ``fleet.quota``, …) and ``obs.profile``
-#: (it starts/stops the remote profiler) are deliberately absent — the
-#: caller must decide whether they were applied.
-IDEMPOTENT_OPS = frozenset(
-    {"contain", "chase", "rewrite", "stats", "ping", "fleet.status",
-     "catalog.list", "obs.metrics", "obs.trace", "obs.health"})
-
-#: Data-plane ops the client stamps with a fresh ``trace_context``.
-_TRACED_OPS = frozenset({"contain", "chase", "rewrite"})
+#: failure (the ``retry`` ops of :data:`~repro.service.protocol.OPS`):
+#: each answers a pure question.  Mutations such as ``fleet.drain`` or
+#: ``obs.profile`` are absent — the caller must decide whether they
+#: were applied.
+IDEMPOTENT_OPS = frozenset(name for name, op in OPS.items() if op.retry)
 
 
 class ServiceClientError(ReproError):
@@ -138,7 +133,8 @@ class ServiceClient:
         tree back via :meth:`obs_trace`.  A caller-supplied context is
         respected (and its id adopted).
         """
-        if record.get("op", "contain") in _TRACED_OPS:
+        op = op_of(record)
+        if op is not None and op.family == "data":
             context = record.get("trace_context")
             if isinstance(context, dict) and isinstance(context.get("id"), str):
                 self.last_trace_id = context["id"]
@@ -151,7 +147,7 @@ class ServiceClient:
             return self._exchange(record)
         except ServiceTransportError:
             self.close()
-            if record.get("op", "contain") not in IDEMPOTENT_OPS:
+            if op is None or not op.retry:
                 raise
             self.connect()
             return self._exchange(record)

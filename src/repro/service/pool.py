@@ -41,17 +41,17 @@ from repro.api.config import SolverConfig
 from repro.api.persistent import PersistentCache
 from repro.exceptions import ReproError
 from repro.service.protocol import (
-    CATALOG_OPERATIONS,
     CatalogStore,
     ProtocolError,
     ServiceDefaults,
     ServiceLimits,
     ServiceOverloaded,
     TenantParser,
-    error_envelope,
+    exception_envelope,
     handle_catalog_record,
     handle_record,
     make_worker_solver,
+    op_of,
     resolve_catalog_record,
     routing_fingerprints,
     shard_for,
@@ -257,7 +257,8 @@ class ShardedSolverPool:
         if routing == "affinity":
             # Control ops carry no tenant; pin them to shard 0 so they
             # route deterministically without parsing anything.
-            if record.get("op") in ("ping", "stats"):
+            op = op_of(record)
+            if op is not None and op.family == "control":
                 return 0
             return self.shard_for_record(record)
         if routing == "random":
@@ -299,19 +300,18 @@ class ShardedSolverPool:
         answered here (a ``catalog.*`` op, or a resolution failure that
         became an error envelope) and must not be routed.
         """
-        op = record.get("op")
-        if op in CATALOG_OPERATIONS:
-            future: "Future[Dict[str, Any]]" = Future()
-            future.set_result(handle_catalog_record(
-                record, self.catalogs, self.defaults, self.parser))
-            return record, future
-        try:
-            return resolve_catalog_record(record, self.catalogs), None
-        except ProtocolError as error:
-            future = Future()
-            future.set_result(error_envelope(
-                record.get("id"), error.kind, str(error)))
-            return record, future
+        op = op_of(record)
+        if op is not None and op.family == "catalog":
+            envelope = handle_catalog_record(record, self.catalogs,
+                                             self.defaults, self.parser)
+        else:
+            try:
+                return resolve_catalog_record(record, self.catalogs), None
+            except ProtocolError as error:
+                envelope = exception_envelope(error, record.get("id"))
+        future: "Future[Dict[str, Any]]" = Future()
+        future.set_result(envelope)
+        return record, future
 
     def execute(self, record: Dict[str, Any],
                 routing: Union[str, int] = "affinity") -> Dict[str, Any]:

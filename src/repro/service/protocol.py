@@ -77,39 +77,74 @@ PROTOCOL_VERSION = 2
 #: connection mid-stream.
 STREAM_LIMIT = 2 ** 24  # 16 MiB
 
-#: The operations a worker understands.  ``contain`` is the default for
-#: records without an ``op`` (the ``repro batch`` question shape).
-OPERATIONS = ("contain", "chase", "rewrite", "stats", "ping")
+#: Tiers at a tenant-facing front end, the kuberdock ``available_for``
+#: split: a coordinator answers an ``ADMIN`` op only with its admin
+#: token.  A worker gates nothing, because its listener sits inside the
+#: trust boundary.
+ADMIN = "admin"
+USER = "user"
 
-#: The **user tier**: data-plane and read-only control operations any
-#: tenant may issue, against a worker or a fleet coordinator alike.
+
+@dataclass(frozen=True)
+class Op:
+    """One wire operation's facts, declared once in :data:`OPS`.
+
+    ``family`` is ``data`` (a tenant question a shard answers; clients
+    and the service stamp these with a trace context), ``control``
+    (``stats``/``ping``), ``catalog``, ``obs`` or ``fleet``.  A ``shed``
+    op is refused with ``overloaded`` while a service has
+    ``max_pending`` requests in flight.  A ``retry`` op changes no state
+    beyond caches, so a client may resend it after a transport failure.
+    """
+
+    name: str
+    family: str
+    available_for: str
+    required: Tuple[str, ...] = ()
+    shed: bool = False
+    retry: bool = False
+
+
+#: Every wire op.  Workers answer all but the ``fleet`` family, which
+#: only a coordinator (where the member registry lives) understands.
+#: ``catalog.put`` parses and fingerprints a view catalog once so a
+#: ``rewrite`` may carry ``catalog_fp`` instead of ``views``; a
+#: coordinator broadcasts the catalog mutations to every alive node.
+#: ``obs.profile`` starts and stops the sampling profiler, so it is the
+#: one observability op that is not retried.
+OPS: Dict[str, Op] = {op.name: op for op in (
+    Op("contain", "data", USER, ("query", "query_prime"), shed=True, retry=True),
+    Op("chase", "data", USER, ("query",), shed=True, retry=True),
+    Op("rewrite", "data", USER, ("query",), shed=True, retry=True),
+    Op("stats", "control", USER, retry=True),
+    Op("ping", "control", USER, retry=True),
+    Op("catalog.put", "catalog", ADMIN, ("views",), shed=True),
+    Op("catalog.list", "catalog", USER, shed=True, retry=True),
+    Op("catalog.drop", "catalog", ADMIN, ("catalog_fp",), shed=True),
+    Op("obs.metrics", "obs", ADMIN, retry=True),
+    Op("obs.trace", "obs", ADMIN, retry=True),
+    Op("obs.health", "obs", ADMIN, retry=True),
+    Op("obs.profile", "obs", ADMIN),
+    Op("fleet.register", "fleet", ADMIN),
+    Op("fleet.heartbeat", "fleet", ADMIN),
+    Op("fleet.drain", "fleet", ADMIN),
+    Op("fleet.evacuate", "fleet", ADMIN),
+    Op("fleet.quota", "fleet", ADMIN),
+    Op("fleet.status", "fleet", ADMIN, retry=True),
+)}
+
+
+def _names(*families: str) -> Tuple[str, ...]:
+    return tuple(name for name, op in OPS.items() if op.family in families)
+
+
+#: Op-name views of :data:`OPS`, by family.  ``contain`` is the default
+#: for records without an ``op`` (the ``repro batch`` question shape).
+OPERATIONS = _names("data", "control")
 USER_OPERATIONS = OPERATIONS
-
-#: The **admin tier**: fleet-management operations a coordinator accepts
-#: only with its admin token (node lifecycle, quotas, fleet status) —
-#: the kuberdock-style ADMIN/USER command split.  Workers reject these
-#: (they are meaningful only where the member registry lives).
-ADMIN_OPERATIONS = ("fleet.register", "fleet.heartbeat", "fleet.drain",
-                    "fleet.evacuate", "fleet.quota", "fleet.status")
-
-#: The **catalog tier**: view-catalog registration, so tenants with
-#: thousand-view catalogs stop resending the views text per request.
-#: ``catalog.put`` parses and fingerprints a catalog once and stores it;
-#: subsequent ``rewrite`` records may carry ``catalog_fp`` instead of
-#: ``views``.  At a worker the pool front end answers these un-gated
-#: (its listener is inside the trust boundary, like ``obs.*``); at a
-#: coordinator the mutations (``put``/``drop``) are admin-gated and
-#: broadcast to every alive node, while ``catalog.list`` stays user-tier
-#: so tenants can discover what is registered.
-CATALOG_OPERATIONS = ("catalog.put", "catalog.list", "catalog.drop")
-
-#: The **observability tier**: metrics scrape, trace lookup, health, and
-#: profiler control.  A worker answers these un-gated (its listener is
-#: already inside the trust boundary); a coordinator gates them behind
-#: the same admin token as ``fleet.*`` because its port is the one
-#: exposed to tenants.  ``obs.profile`` mutates process state (it starts
-#: and stops the sampling profiler), the other three are read-only.
-OBS_OPERATIONS = ("obs.metrics", "obs.trace", "obs.health", "obs.profile")
+CATALOG_OPERATIONS = _names("catalog")
+OBS_OPERATIONS = _names("obs")
+ADMIN_OPERATIONS = _names("fleet")
 
 #: Profiler actions ``obs.profile`` accepts.
 PROFILE_ACTIONS = ("status", "start", "stop", "top", "reset")
@@ -296,8 +331,8 @@ class CatalogStore:
 # ---------------------------------------------------------------------------
 
 
-def parse_line(line: str) -> Dict[str, Any]:
-    """One wire line → a validated record dict (op resolved and checked)."""
+def decode_line(line: str) -> Dict[str, Any]:
+    """One wire line → its JSON object, not yet validated."""
     stripped = line.strip()
     if not stripped:
         raise ProtocolError("protocol", "empty request line")
@@ -308,19 +343,42 @@ def parse_line(line: str) -> Dict[str, Any]:
     if not isinstance(record, dict):
         raise ProtocolError(
             "protocol", f"request must be a JSON object, got {type(record).__name__}")
-    return validate_record(record)
+    return record
+
+
+def parse_line(line: str) -> Dict[str, Any]:
+    """One wire line → a validated record dict (op resolved and checked)."""
+    return validate_record(decode_line(line))
+
+
+def peek_id(line: str) -> Optional[Any]:
+    """Best-effort extraction of ``id`` from a line that failed validation."""
+    try:
+        return decode_line(line).get("id")
+    except ProtocolError:
+        return None
+
+
+def op_of(record: Dict[str, Any]) -> Optional[Op]:
+    """The declared op a record names (``contain`` when it names none).
+
+    ``None`` for an unknown name, and for an ``op`` that is not a string:
+    the field comes from outside, and a list or an object would make the
+    table lookup raise.
+    """
+    name = record.get("op", "contain")
+    return OPS.get(name) if isinstance(name, str) else None
 
 
 def validate_record(record: Dict[str, Any]) -> Dict[str, Any]:
     """Structural validation; returns the record with ``op`` made explicit."""
-    op = record.get("op", "contain")
-    if (op not in OPERATIONS and op not in OBS_OPERATIONS
-            and op not in CATALOG_OPERATIONS):
+    op = op_of(record)
+    if op is None or op.family == "fleet":
         raise ProtocolError(
             "protocol",
-            f"unknown op {op!r}; expected one of "
+            f"unknown op {record.get('op', 'contain')!r}; expected one of "
             f"{OPERATIONS + CATALOG_OPERATIONS + OBS_OPERATIONS}")
-    record = dict(record, op=op)
+    record = dict(record, op=op.name)
     context = record.get("trace_context")
     if context is not None:
         if not isinstance(context, dict) or not isinstance(context.get("id"), str):
@@ -331,17 +389,12 @@ def validate_record(record: Dict[str, Any]) -> Dict[str, Any]:
         if parent is not None and not isinstance(parent, str):
             raise ProtocolError(
                 "protocol", "'trace_context.parent' must be a string")
-    if op in OBS_OPERATIONS:
+    if op.family == "obs":
         return _validate_obs_record(record)
-    required = {"contain": ("query", "query_prime"),
-                "chase": ("query",),
-                "rewrite": ("query",),
-                "catalog.put": ("views",),
-                "catalog.drop": ("catalog_fp",)}.get(op, ())
-    for key in required:
+    for key in op.required:
         if key not in record:
-            raise ProtocolError("protocol", f"op {op!r} requires a {key!r} field")
-    if op == "rewrite" and "views" not in record and "catalog_fp" not in record:
+            raise ProtocolError("protocol", f"op {op.name!r} requires a {key!r} field")
+    if op.name == "rewrite" and "views" not in record and "catalog_fp" not in record:
         raise ProtocolError(
             "protocol",
             "op 'rewrite' requires a 'views' text or a registered 'catalog_fp'")
@@ -419,11 +472,8 @@ def handle_obs_record(record: Dict[str, Any],
         else:  # obs.profile
             result = _obs_profile_result(record)
         return _success_envelope(record, result, 0.0, None, shard)
-    except ProtocolError as error:
-        return error_envelope(identifier, error.kind, str(error), shard)
-    except Exception as error:  # pragma: no cover - defensive: bugs become envelopes
-        return error_envelope(identifier, "internal",
-                              f"{type(error).__name__}: {error}", shard)
+    except Exception as error:
+        return exception_envelope(error, identifier, shard)
 
 
 def _obs_trace_result(record: Dict[str, Any]) -> Dict[str, Any]:
@@ -506,13 +556,8 @@ def handle_catalog_record(record: Dict[str, Any], store: CatalogStore,
             result = {"fingerprint": record["catalog_fp"],
                       "dropped": store.drop(record["catalog_fp"])}
         return _success_envelope(record, result, 0.0, None, shard)
-    except ProtocolError as error:
-        return error_envelope(identifier, error.kind, str(error), shard)
-    except ReproError as error:
-        return error_envelope(identifier, "parse", str(error), shard)
-    except Exception as error:  # pragma: no cover - defensive: bugs become envelopes
-        return error_envelope(identifier, "internal",
-                              f"{type(error).__name__}: {error}", shard)
+    except Exception as error:
+        return exception_envelope(error, identifier, shard)
 
 
 def resolve_catalog_record(record: Dict[str, Any],
@@ -594,6 +639,27 @@ def error_envelope(identifier: Optional[Any], kind: str, message: str,
     return envelope
 
 
+def exception_envelope(error: Exception, identifier: Optional[Any],
+                       shard: Optional[int] = None) -> Dict[str, Any]:
+    """The error envelope for any exception a request raised.
+
+    The one mapping every front end and worker uses: a
+    :class:`ProtocolError` keeps its kind, :class:`ServiceOverloaded` is
+    ``overloaded``, any other :class:`~repro.exceptions.ReproError` is a
+    client text that did not parse (``parse``), and anything else is a
+    bug (``internal``).  On the wire an exception has nowhere else to go.
+    """
+    if isinstance(error, ProtocolError):
+        kind, message = error.kind, str(error)
+    elif isinstance(error, ServiceOverloaded):
+        kind, message = "overloaded", str(error)
+    elif isinstance(error, ReproError):
+        kind, message = "parse", str(error)
+    else:
+        kind, message = "internal", f"{type(error).__name__}: {error}"
+    return error_envelope(identifier, kind, message, shard)
+
+
 def _success_envelope(record: Dict[str, Any], result: Dict[str, Any],
                       elapsed_s: float, cache_hit: Optional[bool],
                       shard: Optional[int]) -> Dict[str, Any]:
@@ -665,21 +731,17 @@ def _execute_record(record: Dict[str, Any], solver: Solver,
     identifier = record.get("id")
     try:
         record = validate_record(record)
-        if record["op"] in OBS_OPERATIONS:
+        family = OPS[record["op"]].family
+        if family == "obs":
             return handle_obs_record(record, shard)
-        if record["op"] in CATALOG_OPERATIONS:
+        if family == "catalog":
             raise ProtocolError(
                 "protocol",
                 f"op {record['op']!r} is answered by a catalog-owning front "
                 "end (pool or coordinator), not a shard solver")
         return _dispatch(record, solver, defaults, limits, parser, shard)
-    except ProtocolError as error:
-        return error_envelope(identifier, error.kind, str(error), shard)
-    except ReproError as error:
-        return error_envelope(identifier, "parse", str(error), shard)
-    except Exception as error:  # pragma: no cover - defensive: bugs become envelopes
-        return error_envelope(identifier, "internal",
-                              f"{type(error).__name__}: {error}", shard)
+    except Exception as error:
+        return exception_envelope(error, identifier, shard)
 
 
 def _dispatch(record: Dict[str, Any], solver: Solver, defaults: ServiceDefaults,

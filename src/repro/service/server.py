@@ -1,10 +1,13 @@
-"""The asyncio NDJSON front end over a :class:`ShardedSolverPool`.
+"""The asyncio NDJSON front ends: :class:`LineServer` and :class:`SolverService`.
 
-One JSON request per line in, one envelope per line out, over TCP or a
-Unix socket.  Requests on one connection are answered in order (the
-handler awaits each answer before reading the next line); concurrency
-comes from serving many connections, each of which may be pinned to a
-different shard by its tenant's fingerprints.
+:class:`LineServer` is the connection loop every front end shares (the
+fleet coordinator subclasses it too); :class:`SolverService` answers
+over a :class:`ShardedSolverPool`.  One JSON request per line in, one
+envelope per line out, over TCP or a Unix socket.  Requests on one
+connection are answered in order (the handler awaits each answer before
+reading the next line); concurrency comes from serving many
+connections, each of which may be pinned to a different shard by its
+tenant's fingerprints.
 
 Backpressure is two-layered:
 
@@ -31,51 +34,40 @@ from repro.obs import ensure_default_probe
 from repro.obs.tracing import get_tracer, new_trace_id
 from repro.service.pool import ShardedSolverPool
 from repro.service.protocol import (
-    OBS_OPERATIONS,
+    OPS,
     STREAM_LIMIT,
     ProtocolError,
-    ServiceOverloaded,
     error_envelope,
+    exception_envelope,
     handle_obs_record,
     parse_line,
+    peek_id,
 )
 
-#: Data-plane ops that get a server-minted ``trace_context`` when the
-#: client did not send one: every request is traceable from the server
-#: side (slow-op log, ``obs.trace`` recents) even with untraced clients.
-_TRACED_OPERATIONS = frozenset({"contain", "chase", "rewrite"})
 
+class LineServer:
+    """One NDJSON listener: a request line in, an envelope line out.
 
-class SolverService:
-    """A long-lived NDJSON solver server speaking the service protocol.
+    The front end a solver service and a fleet coordinator share.  It
+    owns the listener's lifecycle and the line format: UTF-8 decoding,
+    the :data:`~repro.service.protocol.STREAM_LIMIT` line limit, and
+    envelope encoding.  A subclass answers one decoded line in
+    ``_answer``.
 
     ``unix_path`` selects a Unix socket; otherwise ``host:port`` TCP
     (``port=0`` binds an ephemeral port, reported by :attr:`address`).
-    ``max_pending=None`` disables global admission control (the shard
-    inboxes still bound the queue).
     """
 
-    def __init__(self, pool: ShardedSolverPool, host: str = "127.0.0.1",
-                 port: int = 0, unix_path: Optional[str] = None,
-                 max_pending: Optional[int] = None,
+    def __init__(self, host: str = "127.0.0.1", port: int = 0,
+                 unix_path: Optional[str] = None,
                  slow_op_threshold: Optional[float] = None):
-        if max_pending is not None and max_pending < 0:
-            # Fail at startup: a negative admission limit is always a
-            # misconfiguration.  (0 is legal and sheds every data-plane
-            # request — the tests use it to simulate a saturated service.)
-            raise ReproError(
-                f"max_pending must be non-negative (or None to disable "
-                f"admission control), got {max_pending}")
         if slow_op_threshold is not None and slow_op_threshold <= 0:
             raise ReproError(
                 f"slow_op_threshold must be positive (or None to disable "
                 f"the slow-op log), got {slow_op_threshold}")
-        self._pool = pool
         self._host = host
         self._port = port
         self._unix_path = unix_path
-        self._max_pending = max_pending
-        self._in_flight = 0
         self._server: Optional[asyncio.AbstractServer] = None
         # Running a server is opting into observability: install the
         # default metrics probe (never displacing a custom one) and arm
@@ -84,10 +76,6 @@ class SolverService:
         ensure_default_probe()
         if slow_op_threshold is not None:
             get_tracer().slow_log.threshold_s = slow_op_threshold
-
-    @property
-    def pool(self) -> ShardedSolverPool:
-        return self._pool
 
     @property
     def address(self) -> Tuple[str, Any]:
@@ -122,13 +110,29 @@ class SolverService:
         async with self._server:
             await self._server.serve_forever()
 
-    # -- the connection handler ----------------------------------------------
+    def run_in_thread(self) -> "ServiceThread":
+        """Start the server on a daemon thread; returns a stoppable handle.
+
+        For tests, examples, and embedding the server next to other
+        work — the caller's thread stays free while the loop serves.
+        """
+        return ServiceThread(self)
+
+    # -- the connection loop -------------------------------------------------
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # Longer than STREAM_LIMIT.  The rest of the line may
+                    # still be in flight, so answer once and hang up.
+                    await _send(writer, error_envelope(
+                        None, "protocol",
+                        f"request line exceeds the {STREAM_LIMIT}-byte limit"))
+                    break
                 if not line:
                     break
                 try:
@@ -141,14 +145,12 @@ class SolverService:
                     # which usually sits before the bad bytes, so the
                     # client can correlate the rejection with its request.
                     envelope = error_envelope(
-                        _peek_id(line.decode("utf-8", errors="replace")),
+                        peek_id(line.decode("utf-8", errors="replace")),
                         "protocol",
                         f"request line is not valid UTF-8: {error}")
                 else:
                     envelope = await self._answer(text)
-                writer.write(json.dumps(envelope, sort_keys=True,
-                                        default=str).encode("utf-8") + b"\n")
-                await writer.drain()
+                await _send(writer, envelope)
         except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
             pass
         except asyncio.CancelledError:
@@ -163,56 +165,82 @@ class SolverService:
             writer.close()
 
     async def _answer(self, line: str) -> Dict[str, Any]:
+        raise NotImplementedError
+
+
+async def _send(writer: asyncio.StreamWriter, envelope: Dict[str, Any]) -> None:
+    writer.write(json.dumps(envelope, sort_keys=True,
+                            default=str).encode("utf-8") + b"\n")
+    await writer.drain()
+
+
+class SolverService(LineServer):
+    """A long-lived NDJSON solver server speaking the service protocol.
+
+    ``max_pending=None`` disables global admission control (the shard
+    inboxes still bound the queue).
+    """
+
+    def __init__(self, pool: ShardedSolverPool, host: str = "127.0.0.1",
+                 port: int = 0, unix_path: Optional[str] = None,
+                 max_pending: Optional[int] = None,
+                 slow_op_threshold: Optional[float] = None):
+        if max_pending is not None and max_pending < 0:
+            # Fail at startup: a negative admission limit is always a
+            # misconfiguration.  (0 is legal and sheds every data-plane
+            # request — the tests use it to simulate a saturated service.)
+            raise ReproError(
+                f"max_pending must be non-negative (or None to disable "
+                f"admission control), got {max_pending}")
+        super().__init__(host, port, unix_path, slow_op_threshold)
+        self._pool = pool
+        self._max_pending = max_pending
+        self._in_flight = 0
+
+    @property
+    def pool(self) -> ShardedSolverPool:
+        return self._pool
+
+    async def _answer(self, line: str) -> Dict[str, Any]:
         try:
             record = parse_line(line)
         except ProtocolError as error:
-            return error_envelope(_peek_id(line), error.kind, str(error))
-        if record["op"] == "stats":
-            # Answered by the front end, not one shard: a service-level
-            # stats op merges every shard's cache picture plus the
-            # pool's routing counters into one document.
-            try:
-                return await self._service_stats(record)
-            except ServiceOverloaded as error:
-                return error_envelope(record.get("id"), "overloaded", str(error))
-        if record["op"] in OBS_OPERATIONS:
-            # Control plane, answered by the front end from its own
-            # process state — which under process-pool shards does not
-            # include subprocess-side counters (thread shards see all).
-            return handle_obs_record(record)
-        if (record["op"] in _TRACED_OPERATIONS
-                and record.get("trace_context") is None
-                and get_tracer().enabled):
-            # An untraced data-plane request still gets a server-minted
-            # trace, so obs.trace / the slow-op log cover all traffic.
-            record["trace_context"] = {"id": new_trace_id()}
-        if (record["op"] != "ping"  # control plane: answerable under shedding
-                and self._max_pending is not None
-                and self._in_flight >= self._max_pending):
-            return error_envelope(
-                record.get("id"), "overloaded",
-                f"service has {self._in_flight} requests in flight "
-                f"(limit {self._max_pending}); retry later")
-        self._in_flight += 1
+            return exception_envelope(error, peek_id(line))
+        op = OPS[record["op"]]
         try:
-            # The pool resolves a concurrent.futures.Future from a worker
-            # thread/process; wrap_future bridges it into this loop.
-            future = self._pool.submit(record)
-            return await asyncio.wrap_future(future)
-        except ServiceOverloaded as error:
-            return error_envelope(record.get("id"), "overloaded", str(error))
-        except ProtocolError as error:
-            return error_envelope(record.get("id"), error.kind, str(error))
-        except ReproError as error:
-            # Affinity routing parses schema/deps before a shard ever
-            # sees the record, so unparsable tenant text surfaces here —
-            # a client input problem, not a server bug.
-            return error_envelope(record.get("id"), "parse", str(error))
+            if op.family == "obs":
+                # Control plane, answered by the front end from its own
+                # process state — which under process-pool shards does not
+                # include subprocess-side counters (thread shards see all).
+                return handle_obs_record(record)
+            if op.name == "stats":
+                # Answered by the front end, not one shard: a service-level
+                # stats op merges every shard's cache picture plus the
+                # pool's routing counters into one document.
+                return await self._service_stats(record)
+            if (op.shed and self._max_pending is not None
+                    and self._in_flight >= self._max_pending):
+                return error_envelope(
+                    record.get("id"), "overloaded",
+                    f"service has {self._in_flight} requests in flight "
+                    f"(limit {self._max_pending}); retry later")
+            if (op.family == "data" and record.get("trace_context") is None
+                    and get_tracer().enabled):
+                # An untraced data-plane request still gets a server-minted
+                # trace, so obs.trace / the slow-op log cover all traffic.
+                record["trace_context"] = {"id": new_trace_id()}
+            self._in_flight += 1
+            try:
+                # The pool resolves a concurrent.futures.Future from a
+                # worker thread/process; wrap_future bridges it into this
+                # loop.  Affinity routing parses schema/deps before a shard
+                # ever sees the record, so unparsable tenant text raises
+                # here and becomes a "parse" envelope.
+                return await asyncio.wrap_future(self._pool.submit(record))
+            finally:
+                self._in_flight -= 1
         except Exception as error:
-            return error_envelope(record.get("id"), "internal",
-                                  f"{type(error).__name__}: {error}")
-        finally:
-            self._in_flight -= 1
+            return exception_envelope(error, record.get("id"))
 
     async def _service_stats(self, record: Dict[str, Any]) -> Dict[str, Any]:
         pool = self._pool
@@ -229,30 +257,13 @@ class SolverService:
             },
         }
 
-    # -- synchronous embedding ----------------------------------------------
-
-    def run_in_thread(self) -> "ServiceThread":
-        """Start the server on a daemon thread; returns a stoppable handle.
-
-        For tests, examples, and embedding the service next to other
-        work — the caller's thread stays free while the loop serves.
-        """
-        return ServiceThread(self)
-
-
-def _peek_id(line: str) -> Optional[Any]:
-    """Best-effort extraction of ``id`` from a line that failed validation."""
-    try:
-        record = json.loads(line)
-        if isinstance(record, dict):
-            return record.get("id")
-    except (json.JSONDecodeError, ValueError):
-        pass
-    return None
-
 
 class ServiceThread:
-    """A :class:`SolverService` running on its own event-loop thread."""
+    """A server on its own event-loop thread.
+
+    Runs anything with async ``start``/``stop`` and an ``address``: a
+    :class:`SolverService`, a fleet coordinator, or a fleet node.
+    """
 
     def __init__(self, service: SolverService):
         self._service = service

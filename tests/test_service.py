@@ -10,7 +10,10 @@ on.
 from __future__ import annotations
 
 import json
+import re
 import socket
+from concurrent.futures import Future
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +41,7 @@ from repro.service import (
     shard_for,
     validate_record,
 )
+from repro.service.protocol import OPS
 from repro.workloads import TrafficGenerator
 
 SCHEMA_TEXT = "EMP(emp, sal, dept)\nDEP(dept, loc)"
@@ -225,6 +229,13 @@ class TestProtocol:
         with pytest.raises(ProtocolError) as excinfo:
             parse_line(line)
         assert excinfo.value.kind == kind
+
+    def test_readme_ops_table_lists_every_op_and_tier(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        rows = re.findall(r"^\| `([a-z.]+)` \| (user|admin) \|[^|]*\| (yes|no) \|$",
+                          readme.read_text(encoding="utf-8"), re.MULTILINE)
+        assert [(name, tier, retried == "yes") for name, tier, retried in rows] == [
+            (op.name, op.available_for, op.retry) for op in OPS.values()]
 
     def test_handle_record_never_raises(self):
         solver = Solver()
@@ -456,6 +467,31 @@ class TestServiceWire:
         assert stats["pool"]["shard_count"] == pool.shard_count
         assert len(stats["shards"]) == pool.shard_count
         assert all("cache_stats" in shard for shard in stats["shards"])
+
+    def test_stats_answers_internal_when_a_shard_fails(self, served_pool,
+                                                         monkeypatch):
+        pool, client, _ = served_pool
+
+        def failing_submit(record):
+            future = Future()
+            future.set_exception(RuntimeError("shard exploded"))
+            return future
+
+        monkeypatch.setattr(pool.shards[1], "submit", failing_submit)
+        assert client.request({"op": "stats", "id": "s1"}) == {
+            "id": "s1", "ok": False,
+            "error": {"kind": "internal",
+                      "message": "RuntimeError: shard exploded"}}
+        assert client.ping()  # the connection survives
+
+    @pytest.mark.parametrize("op", [["ping"], {"name": "ping"}])
+    def test_non_string_op_gets_the_servers_unknown_op_envelope(self, served_pool,
+                                                                 op):
+        _, client, _ = served_pool
+        envelope = client.request({"id": "o1", "op": op})
+        assert envelope["id"] == "o1" and not envelope["ok"]
+        assert envelope["error"]["kind"] == "protocol"
+        assert envelope["error"]["message"].startswith(f"unknown op {op!r}; ")
 
     def test_admission_control_rejects_when_full(self, tmp_path):
         socket_path = str(tmp_path / "busy.sock")

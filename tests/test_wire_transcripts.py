@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import logging
 import socket
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Tuple
@@ -32,7 +33,8 @@ from typing import Any, Dict, Iterator, List, Tuple
 import pytest
 
 from repro.fleet import FleetCoordinator, FleetNode
-from repro.service import ShardedSolverPool, SolverService
+from repro.service import ServiceClient, ShardedSolverPool, SolverService
+from repro.service.protocol import STREAM_LIMIT
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "wire_transcripts.json"
 ADMIN_TOKEN = "wire-admin"
@@ -135,3 +137,24 @@ def test_envelopes_match_the_recorded_transcripts(target):
     assert not mismatches, (
         f"{len(mismatches)} of {len(entries)} {target} envelopes differ from "
         f"{GOLDEN.name}: {mismatches}")
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_over_limit_line_is_answered_then_the_connection_closes(target, caplog):
+    caplog.set_level(logging.DEBUG, logger="asyncio")
+    with front_end(target) as (host, port):
+        with socket.create_connection((host, port), timeout=60) as raw:
+            # One byte past the limit and no newline: the server has read
+            # everything sent when it gives up on the line.
+            raw.sendall(b"x" * (STREAM_LIMIT + 1))
+            stream = raw.makefile("rb")
+            envelope = json.loads(stream.readline())
+            assert stream.readline() == b""
+        with ServiceClient(host=host, port=port) as client:
+            assert client.ping()
+    assert envelope == {
+        "id": None, "ok": False,
+        "error": {"kind": "protocol",
+                  "message": f"request line exceeds the {STREAM_LIMIT}-byte limit"}}
+    assert not [record for record in caplog.records
+                if record.levelno >= logging.ERROR]
