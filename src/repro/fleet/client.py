@@ -37,17 +37,22 @@ class FleetClient(ServiceClient):
             record = dict(record, admin_token=self._admin_token)
         return super().request(record)
 
+    def _admin(self, op: str, **fields: Any) -> Dict[str, Any]:
+        record = {"op": op, **{key: value for key, value in fields.items()
+                               if value is not None}}
+        return self.check(self.request(record))
+
     def status(self) -> Dict[str, Any]:
         """The coordinator's full fleet snapshot (``fleet.status``)."""
-        return self.check(self.request({"op": "fleet.status"}))
+        return self._admin("fleet.status")
 
     def drain(self, node: str) -> Dict[str, Any]:
         """Stop admitting new work to ``node``; its ring slot is kept."""
-        return self.check(self.request({"op": "fleet.drain", "node": node}))
+        return self._admin("fleet.drain", node=node)
 
     def evacuate(self, node: str) -> Dict[str, Any]:
         """Remove ``node`` from the ring entirely (a deliberate rebalance)."""
-        return self.check(self.request({"op": "fleet.evacuate", "node": node}))
+        return self._admin("fleet.evacuate", node=node)
 
     def set_quota(self, *, schema: Optional[str] = None,
                   deps: Optional[str] = None,
@@ -58,20 +63,16 @@ class FleetClient(ServiceClient):
         """Install a tenant quota (identify the tenant by texts or fingerprints)."""
         quota = {"max_request_cost": max_request_cost,
                  "max_in_flight_cost": max_in_flight_cost}
-        return self._quota(quota, schema=schema, deps=deps,
-                           schema_fp=schema_fp, deps_fp=deps_fp)
+        return self._admin("fleet.quota", schema=schema, deps=deps,
+                           schema_fp=schema_fp, deps_fp=deps_fp, quota=quota)
 
     def clear_quota(self, *, schema: Optional[str] = None,
                     deps: Optional[str] = None,
                     schema_fp: Optional[str] = None,
                     deps_fp: Optional[str] = None) -> Dict[str, Any]:
         """Drop a tenant's explicit quota, reverting it to the default."""
-        return self._quota(None, schema=schema, deps=deps,
-                           schema_fp=schema_fp, deps_fp=deps_fp)
-
-    def _quota(self, quota: Optional[Dict[str, Any]],
-               **tenant: Optional[str]) -> Dict[str, Any]:
-        record = {"op": "fleet.quota", "quota": quota,
-                  **{key: value for key, value in tenant.items()
-                     if value is not None}}
+        record = {"op": "fleet.quota", "quota": None,
+                  **{key: value for key, value in
+                     {"schema": schema, "deps": deps, "schema_fp": schema_fp,
+                      "deps_fp": deps_fp}.items() if value is not None}}
         return self.check(self.request(record))

@@ -366,12 +366,13 @@ class FleetCoordinator(LineServer):
     async def _catalog(self, record: Dict[str, Any]) -> Dict[str, Any]:
         """Catalog registration at the fleet tier.
 
-        The mutations (``catalog.put``/``catalog.drop``, admin-gated — a
-        tenant-facing port must not let one tenant evict another's
-        registered catalog) are applied to the coordinator's own store,
-        then broadcast to every alive node so each can resolve
-        rewrite-by-fingerprint locally.  ``catalog.list`` is answered
-        straight from the coordinator's store.
+        The mutations (``catalog.put``/``catalog.drop``) are admin-gated
+        like ``fleet.*`` — a tenant-facing port must not let one tenant
+        evict another's registered catalog — applied to the
+        coordinator's own store, then broadcast to every alive node so
+        each can resolve rewrite-by-fingerprint locally.
+        ``catalog.list`` is user-tier (tenants discover what they may
+        reference) and answered straight from the coordinator's store.
         """
         envelope = handle_catalog_record(record, self.catalogs,
                                          self.defaults, self._parser)

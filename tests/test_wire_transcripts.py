@@ -141,7 +141,6 @@ def test_envelopes_match_the_recorded_transcripts(target):
 
 @pytest.mark.parametrize("target", TARGETS)
 def test_over_limit_line_is_answered_then_the_connection_closes(target, caplog):
-    caplog.set_level(logging.DEBUG, logger="asyncio")
     with front_end(target) as (host, port):
         with socket.create_connection((host, port), timeout=60) as raw:
             # One byte past the limit and no newline: the server has read
