@@ -48,7 +48,7 @@ from repro.obs.probe import MetricsProbe
 from repro.obs.tracing import get_tracer
 from repro.parser import parse_dependencies, parse_query, parse_schema
 
-TREE_DEPTH = 9  # 2^(d+1)-1 relations; chase of R0 materializes them all
+TREE_DEPTH = 9  # 2^(d+1)-1 relations; the two chases build 7 and 15 conjuncts
 REPEATS_PER_PASS = 1
 ROUNDS = 33
 OVERHEAD_CEILING = 1.05

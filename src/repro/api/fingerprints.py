@@ -13,10 +13,12 @@ variable ``x``, and a nondistinguished variable ``x`` stay distinct.
 The schema part is :meth:`DatabaseSchema.signature_text`, which owns
 its format and memoises it on the schema object: a tenant's schema is
 shared by all of its requests, so it is rendered once, not once per
-fingerprint.  That text lists relations in insertion order while schema
-equality ignores the order, so equal queries over reordered schemas
-fingerprint differently, a gap in (c) that costs cache hits, never a
-wrong answer.
+fingerprint.  A view and a catalog memoise their own digests the same
+way, so a catalog version that shares most views with the previous one
+digests only its new views.  The schema text lists relations in
+insertion order while schema equality ignores the order, so equal
+queries over reordered schemas fingerprint differently, a gap in (c)
+that costs cache hits, never a wrong answer.
 """
 
 from __future__ import annotations
@@ -90,10 +92,13 @@ def view_fingerprint(view) -> str:
     """Digest of one view: its name plus its defining query's content.
 
     The name is included — unlike a query's display name it is semantic,
-    because rewritings contain atoms over it.
+    because rewritings contain atoms over it.  Memoised on the view, so
+    a view shared by many catalog versions is digested once.
     """
-    payload = f"{view.name}\n{query_fingerprint(view.definition)}"
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    if view._fingerprint is None:
+        payload = f"{view.name}\n{query_fingerprint(view.definition)}"
+        view._fingerprint = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return view._fingerprint
 
 
 def catalog_fingerprint(catalog) -> str:
@@ -101,10 +106,15 @@ def catalog_fingerprint(catalog) -> str:
 
     Keys the solver's rewrite cache together with the query and Σ
     fingerprints; two catalogs holding the same views over the same base
-    schema fingerprint identically.
+    schema fingerprint identically.  Memoised on the catalog until its
+    next ``add``, so a rewrite by fingerprint reads it instead of
+    digesting every view.  Racing first digests store the same string.
     """
-    payload = "\n".join((
-        schema_signature(catalog.base_schema),
-        "\n".join(sorted(view_fingerprint(view) for view in catalog)),
-    ))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    if catalog._fingerprint is None:
+        payload = "\n".join((
+            schema_signature(catalog.base_schema),
+            "\n".join(sorted(view_fingerprint(view) for view in catalog)),
+        ))
+        catalog._fingerprint = hashlib.sha256(
+            payload.encode("utf-8")).hexdigest()
+    return catalog._fingerprint

@@ -15,6 +15,8 @@ the offending line.
 
 from __future__ import annotations
 
+from typing import MutableMapping, Optional
+
 from repro.exceptions import ParseError, ViewError
 from repro.parser.query_parser import parse_query
 from repro.relational.schema import DatabaseSchema
@@ -30,15 +32,29 @@ def parse_view(text: str, schema: DatabaseSchema) -> View:
         raise ParseError(f"invalid view definition: {error}", text) from error
 
 
-def parse_views(text: str, schema: DatabaseSchema) -> ViewCatalog:
-    """Parse a views section (one view per line) into a :class:`ViewCatalog`."""
+def parse_views(text: str, schema: DatabaseSchema,
+                interned: Optional[MutableMapping[str, View]] = None) -> ViewCatalog:
+    """Parse a views section (one view per line) into a :class:`ViewCatalog`.
+
+    An error names the offending line (``line N: ...``).  ``interned``
+    maps a stripped line to the :class:`View` already parsed from it
+    over this same ``schema`` object: such a line is not parsed again,
+    and each newly parsed line is added to it.  That is how a service
+    pays only for the lines a new catalog version changed.  A line that
+    fails to parse is never added.
+    """
+    if interned is None:
+        interned = {}
     catalog = ViewCatalog(schema=schema)
     for line_number, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         try:
-            catalog.add(parse_view(stripped, schema))
+            view = interned.get(stripped)
+            if view is None:
+                view = interned[stripped] = parse_view(stripped, schema)
+            catalog.add(view)
         except ViewError as error:
             raise ParseError(f"line {line_number}: {error}", text) from error
         except ParseError as error:

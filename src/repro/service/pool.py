@@ -20,6 +20,12 @@ Three execution modes share one request path (``handle_record``):
   thread.  No concurrency, identical routing and caching; used by
   deterministic tests and benchmarks.
 
+Thread and inline shards read their pool's one
+:class:`~repro.service.protocol.TenantParser`, the memo the front end
+already filled while routing and registering catalogs, so a tenant's
+texts are parsed once per pool.  A process shard keeps its own, because
+it runs in another address space; only text crosses that boundary.
+
 Every shard queue is bounded: a full queue raises
 :class:`~repro.service.protocol.ServiceOverloaded` at submission time
 instead of buffering without limit, which is the pool's half of the
@@ -81,7 +87,11 @@ def _process_shard_main(shard: int, config: SolverConfig,
 
 
 class _Shard:
-    """One worker: a bounded inbox plus whatever executes it."""
+    """One worker: a bounded inbox plus whatever executes it.
+
+    A thread or inline shard owns its solver and parses with its pool's
+    ``parser``; a process shard's solver and parser live in its child.
+    """
 
     def __init__(self, index: int, pool: "ShardedSolverPool"):
         self.index = index
@@ -139,14 +149,14 @@ class _Shard:
     # -- worker loops --------------------------------------------------------
 
     def _thread_main(self) -> None:
-        parser = TenantParser()
         while True:
             item = self._inbox.get()
             if item is _STOP:
                 break
             record, future = item
             response = handle_record(record, self.solver, self._pool.defaults,
-                                     self._pool.limits, parser, self.index)
+                                     self._pool.limits, self._pool.parser,
+                                     self.index)
             if not future.cancelled():
                 future.set_result(response)
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
+import weakref
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -207,32 +208,53 @@ class TenantParser:
     """Memoised parsing of schema/deps/views texts.
 
     Tenants repeat: the same schema text arrives on every request of a
-    tenant, so the router and each shard keep a small text→object memo
-    instead of re-tokenizing per request.  Bounded by dropping the
-    oldest half when full (tenant counts are small; precise LRU order
-    is not worth the bookkeeping here).
+    tenant, so each front end keeps one small text→object memo instead
+    of re-tokenizing per request, and a pool's thread and inline shards
+    read their pool's.  Bounded by dropping the oldest half when full
+    (tenant counts are small; precise LRU order is not worth the
+    bookkeeping here).
+
+    Consecutive versions of a catalog share most of their lines, so
+    each schema text also keeps an intern table from a view line to the
+    :class:`~repro.views.view.View` parsed from it over that schema
+    object: a new version parses only its new lines.  The table holds
+    its views weakly, so a view lives exactly as long as some memoised
+    catalog holds it, and it is dropped with its schema, so one catalog
+    never mixes equal but distinct schema objects.
+
+    Shared by threads without a lock: every memo is read with ``get``
+    and then set, so an eviction by another thread's :meth:`_bound` is a
+    miss, never a ``KeyError``, and racing first parses store equal
+    values.
     """
 
     def __init__(self, max_entries: int = 256):
         self._max_entries = max_entries
-        self._schemas: Dict[str, Any] = {}
+        self._schemas: Dict[str, Tuple[Any, "weakref.WeakValueDictionary"]] = {}
         self._dependencies: Dict[Tuple[str, str], Any] = {}
         self._catalogs: Dict[Tuple[str, str], Any] = {}
 
     def _bound(self, memo: Dict) -> None:
         if len(memo) > self._max_entries:
             for key in list(memo)[: self._max_entries // 2]:
-                del memo[key]
+                memo.pop(key, None)
+
+    def _schema_entry(self, text: str) -> Tuple[Any, "weakref.WeakValueDictionary"]:
+        """The parsed schema and its view intern table."""
+        entry = self._schemas.get(text)
+        if entry is None:
+            entry = (parse_schema(text), weakref.WeakValueDictionary())
+            self._schemas[text] = entry
+            self._bound(self._schemas)
+        return entry
 
     def schema(self, text: str):
-        if text not in self._schemas:
-            self._schemas[text] = parse_schema(text)
-            self._bound(self._schemas)
-        return self._schemas[text]
+        return self._schema_entry(text)[0]
 
     def dependencies(self, text: Optional[str], schema_text: str) -> DependencySet:
         key = (text or "", schema_text)
-        if key not in self._dependencies:
+        parsed = self._dependencies.get(key)
+        if parsed is None:
             schema = self.schema(schema_text)
             if text is None or not text.strip():
                 parsed = DependencySet(schema=schema)
@@ -240,14 +262,17 @@ class TenantParser:
                 parsed = parse_dependencies(text, schema)
             self._dependencies[key] = parsed
             self._bound(self._dependencies)
-        return self._dependencies[key]
+        return parsed
 
     def catalog(self, text: str, schema_text: str):
         key = (text, schema_text)
-        if key not in self._catalogs:
-            self._catalogs[key] = parse_views(text, self.schema(schema_text))
+        catalog = self._catalogs.get(key)
+        if catalog is None:
+            schema, interned = self._schema_entry(schema_text)
+            catalog = parse_views(text, schema, interned)
+            self._catalogs[key] = catalog
             self._bound(self._catalogs)
-        return self._catalogs[key]
+        return catalog
 
 
 class CatalogStore:
@@ -340,6 +365,11 @@ def decode_line(line: str) -> Dict[str, Any]:
         record = json.loads(stripped)
     except json.JSONDecodeError as error:
         raise ProtocolError("protocol", f"request is not valid JSON: {error}")
+    except RecursionError:
+        # Nested past the interpreter's recursion limit (say 100,000
+        # ``[``): the decoder gives up before it can say whether the
+        # line is JSON at all.
+        raise ProtocolError("protocol", "request nests too deeply to decode")
     if not isinstance(record, dict):
         raise ProtocolError(
             "protocol", f"request must be a JSON object, got {type(record).__name__}")

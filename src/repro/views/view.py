@@ -28,6 +28,12 @@ from repro.terms.term import DistinguishedVariable, Variable
 class View:
     """One named view ``V(x1, ..., xk) :- body`` over the base schema."""
 
+    #: Memo of :func:`~repro.api.fingerprints.view_fingerprint`; a view
+    #: never changes, so it is never cleared.  A class attribute so views
+    #: pickled before the memo existed unpickle without it and digest on
+    #: first use.
+    _fingerprint: Optional[str] = None
+
     def __init__(self, name: str, definition: ConjunctiveQuery):
         if not name:
             raise ViewError("a view must have a name")
@@ -114,6 +120,12 @@ class View:
 class ViewCatalog:
     """An ordered, name-keyed collection of views over one base schema."""
 
+    #: Memos of :func:`~repro.api.fingerprints.catalog_fingerprint` and
+    #: :meth:`extended_schema`, cleared by :meth:`add`.  Class attributes
+    #: for the same reason as :attr:`View._fingerprint`.
+    _fingerprint: Optional[str] = None
+    _extended_schema: Optional[DatabaseSchema] = None
+
     def __init__(self, views: Optional[Iterable[View]] = None,
                  schema: Optional[DatabaseSchema] = None):
         self._schema = schema
@@ -138,6 +150,8 @@ class ViewCatalog:
         if view.name in self._views:
             raise ViewError(f"duplicate view name {view.name!r} in catalog")
         self._views[view.name] = view
+        self._fingerprint = None
+        self._extended_schema = None
         return self
 
     # -- container protocol ------------------------------------------------
@@ -175,14 +189,20 @@ class ViewCatalog:
         """Base relations plus one derived relation per view.
 
         Candidate rewritings are conjunctive queries over this schema;
-        expansion maps them back to the base schema.
+        expansion maps them back to the base schema.  It is built on
+        first use and memoised until :meth:`add`, so every rewrite over
+        a catalog shares one schema object: callers must not mutate it.
+        Racing first builds store equal schemas.
         """
-        if self._schema is None:
-            raise ViewError("an empty catalog with no schema has no extended schema")
-        extended = DatabaseSchema(list(self._schema))
-        for view in self._views.values():
-            extended.add(view.relation_schema())
-        return extended
+        if self._extended_schema is None:
+            if self._schema is None:
+                raise ViewError(
+                    "an empty catalog with no schema has no extended schema")
+            extended = DatabaseSchema(list(self._schema))
+            for view in self._views.values():
+                extended.add(view.relation_schema())
+            self._extended_schema = extended
+        return self._extended_schema
 
     # -- reporting ---------------------------------------------------------
 

@@ -157,3 +157,21 @@ def test_over_limit_line_is_answered_then_the_connection_closes(target, caplog):
                   "message": f"request line exceeds the {STREAM_LIMIT}-byte limit"}}
     assert not [record for record in caplog.records
                 if record.levelno >= logging.ERROR]
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_line_nested_past_the_recursion_limit_is_answered(target, caplog):
+    with front_end(target) as (host, port):
+        with socket.create_connection((host, port), timeout=60) as raw:
+            stream = raw.makefile("rb")
+            raw.sendall(b"[" * 100_000 + b"\n")
+            envelope = json.loads(stream.readline())
+            raw.sendall(b'{"op": "ping", "id": "after"}\n')
+            pong = json.loads(stream.readline())
+    assert envelope == {
+        "id": None, "ok": False,
+        "error": {"kind": "protocol",
+                  "message": "request nests too deeply to decode"}}
+    assert pong["ok"] and pong["id"] == "after" and pong["result"]["pong"]
+    assert not [record for record in caplog.records
+                if record.levelno >= logging.ERROR]
