@@ -2,7 +2,7 @@
 
 PR 10 split ``rewrite_with_views`` into a staged pipeline (catalog index
 → image discovery → candidate generation → certification → ranking)
-with the candidate generator pluggable behind ``views/registry.py``.
+with the candidate generator chosen by name (``views/registry.py``).
 The ``bucketed`` strategy adds a signature-indexed catalog probe (views
 whose bodies mention relations the chased query never touches are
 pruned before image discovery) and MiniCon-style bucket growth that

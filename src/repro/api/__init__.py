@@ -18,7 +18,6 @@ wrappers over a shared default Solver, so existing code transparently
 gains the cross-call caches.
 """
 
-from repro.api.backend import CacheBackend, MemoryCacheBackend, backend_stats
 from repro.api.cache import CacheInfo, LRUCache
 from repro.api.config import LEGACY_CONTAINMENT_KWARGS, SolverConfig
 from repro.api.fingerprints import (
@@ -54,7 +53,6 @@ from repro.api.solver import (
 
 __all__ = [
     "BudgetUsage",
-    "CacheBackend",
     "CacheInfo",
     "ChaseRequest",
     "ChaseResponse",
@@ -62,7 +60,6 @@ __all__ = [
     "ContainmentResponse",
     "LEGACY_CONTAINMENT_KWARGS",
     "LRUCache",
-    "MemoryCacheBackend",
     "OptimizeRequest",
     "OptimizeResponse",
     "PairwiseContainment",
@@ -75,7 +72,6 @@ __all__ = [
     "Solver",
     "SolverConfig",
     "SolverStats",
-    "backend_stats",
     "catalog_fingerprint",
     "dependency_fingerprint",
     "get_default_solver",

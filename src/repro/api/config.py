@@ -98,13 +98,11 @@ class SolverConfig:
         Chase depth for view matching; ``None`` sizes it from the
         catalog's largest view body.
     rewrite_strategy:
-        Any name in the rewriter registry: ``"exhaustive"`` (the
-        certified reference — every view matched, all image subsets
-        tried) or ``"bucketed"`` (MiniCon-style: a signature index
-        prunes views before matching and candidates grow through
-        per-subgoal buckets; the catalog-scale strategy).  ``None``
-        defers to ``$REPRO_REWRITE_STRATEGY`` and then to
-        ``"exhaustive"``.
+        ``"exhaustive"`` (the certified reference — every view matched,
+        all image subsets tried) or ``"bucketed"`` (MiniCon-style: a
+        signature index prunes views before matching and candidates
+        grow through per-subgoal buckets; the catalog-scale strategy).
+        ``None`` means ``"exhaustive"``.
 
     Session knobs:
 
@@ -177,8 +175,7 @@ class SolverConfig:
             # exception keep working.
             validate_engine_name(self.chase_engine)
         if self.rewrite_strategy is not None:
-            # Same arrangement for the rewriter registry (ViewError is a
-            # ReproError too).
+            # ViewError is a ReproError too.
             validate_rewriter_name(self.rewrite_strategy)
         if self.parallelism is not None and self.parallelism <= 0:
             raise ReproError("parallelism must be positive (or None for sequential)")

@@ -79,10 +79,9 @@ class PersistentCache:
     tests; an in-memory store is still exercised through the exact same
     code path, it just does not survive the process).
 
-    This is the default :class:`~repro.api.backend.CacheBackend`
-    implementation; the solver and the service pool only ever use the
-    protocol surface (``get``/``put``/``sizes``/``clear``/``close``),
-    so a networked store can replace this one without touching them.
+    The solver's only warm tier.  Solvers handed one object share its
+    connection (a pool's thread and inline shards do); processes share
+    through the file.
     """
 
     def __init__(self, path: str):

@@ -26,7 +26,6 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.api.backend import CacheBackend, backend_stats
 from repro.api.cache import CacheInfo, LRUCache
 from repro.api.config import SolverConfig
 from repro.api.persistent import PersistentCache
@@ -71,7 +70,8 @@ from repro.optimizer.pipeline import optimize as pipeline_optimize
 from repro.queries.conjunctive_query import ConjunctiveQuery
 from repro.views.cost import CostModel
 from repro.views.index import CatalogIndex, build_catalog_index
-from repro.views.rewriting import RewriteReport, rewrite_with_views
+from repro.views.registry import resolve_rewriter_name
+from repro.views.rewriting import RewriteReport, _rewrite_with_views
 from repro.views.view import ViewCatalog
 
 #: Catalog indexes kept per solver (keyed by catalog fingerprint); small
@@ -108,14 +108,13 @@ class Solver:
     """A configured, caching session over the Johnson–Klug procedures."""
 
     def __init__(self, config: Optional[SolverConfig] = None,
-                 persistent_cache: Optional[CacheBackend] = None):
+                 persistent_cache: Optional[PersistentCache] = None):
         self._config = config or SolverConfig()
         self._containment_cache = LRUCache(self._config.containment_cache_size)
         self._chase_cache = LRUCache(self._config.chase_cache_size)
         self._rewrite_cache = LRUCache(self._config.rewrite_cache_size)
         # An explicit store wins over the config path so several solvers
-        # (service shards in one process) can share one connection — and
-        # it may be any CacheBackend, not just the SQLite store.
+        # (service shards in one process) can share one connection.
         if persistent_cache is not None:
             self._persistent = persistent_cache
             self._owns_persistent = False
@@ -144,7 +143,7 @@ class Solver:
         return self._config
 
     @property
-    def persistent_cache(self) -> Optional[CacheBackend]:
+    def persistent_cache(self) -> Optional[PersistentCache]:
         return self._persistent
 
     def close(self) -> None:
@@ -180,7 +179,7 @@ class Solver:
         size = sum(info.size for info in infos.values())
         maxsize = sum(info.maxsize for info in infos.values())
         if self._persistent is not None:
-            store = backend_stats(self._persistent)
+            store = self._persistent.stats()
             with self._persistent_lock:
                 local_hits = self._persistent_hits
                 local_misses = self._persistent_misses
@@ -503,32 +502,24 @@ class Solver:
         # query against this catalog; the exhaustive strategy never
         # probes it, so only index-using strategies pay the (cached)
         # build.
-        from repro.views.registry import resolve_rewriter_name
         strategy = resolve_rewriter_name(config.rewrite_strategy)
         catalog_index = (
             self.catalog_index_for(catalog, key[1] if cacheable else None)
             if strategy != "exhaustive" else None)
 
         def compute() -> RewriteReport:
+            # Certification runs under the config the cache key reflects,
+            # even when it differs from this solver's session config.
             with maybe_span("rewrite.search"):
-                return rewrite_with_views(
-                query, catalog, sigma, solver=self, cost_model=cost_model,
-                max_images=config.rewrite_max_images,
-                max_combination_size=config.rewrite_max_combination_size,
-                max_candidates=config.rewrite_max_candidates,
-                chase_level=config.rewrite_chase_level,
-                chase_max_conjuncts=config.chase_max_conjuncts,
-                strategy=strategy,
-                catalog_index=catalog_index,
-                # Certification must follow the config the cache key reflects,
-                # even when it differs from this solver's session config.
-                variant=config.variant,
-                level_bound=config.level_bound,
-                max_conjuncts=config.max_conjuncts,
-                record_trace=config.record_trace,
-                with_certificate=config.with_certificate,
-                deepening=config.deepening,
-            )
+                return _rewrite_with_views(
+                    query, catalog, sigma, self, config,
+                    cost_model=cost_model,
+                    max_images=config.rewrite_max_images,
+                    max_combination_size=config.rewrite_max_combination_size,
+                    max_candidates=config.rewrite_max_candidates,
+                    chase_level=config.rewrite_chase_level,
+                    strategy=strategy,
+                    catalog_index=catalog_index)
 
         if not cacheable:
             return compute(), False

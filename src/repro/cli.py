@@ -60,7 +60,7 @@ from repro.containment.serialization import (
 )
 from repro.chase.engine import ChaseConfig, ChaseVariant
 from repro.chase.registry import available_engines
-from repro.views.registry import available_rewriters
+from repro.views.registry import REWRITE_STRATEGIES
 from repro.dependencies.dependency_set import DependencySet
 from repro.dependencies.ind_inference import ind_implied_by_axioms
 from repro.exceptions import ReproError
@@ -186,12 +186,12 @@ def build_parser() -> argparse.ArgumentParser:
                               "(one 'V(args) :- body' per line)")
     rewrite.add_argument("--best-only", action="store_true",
                          help="print only the best certified rewriting")
-    rewrite.add_argument("--strategy", choices=list(available_rewriters()),
+    rewrite.add_argument("--strategy", choices=list(REWRITE_STRATEGIES),
                          default=None,
                          help="candidate-generation strategy (default: "
-                              "$REPRO_REWRITE_STRATEGY or 'exhaustive'; "
-                              "'bucketed' adds the signature index and "
-                              "MiniCon-style buckets for large catalogs)")
+                              "'exhaustive'; 'bucketed' adds the signature "
+                              "index and MiniCon-style buckets for large "
+                              "catalogs)")
     rewrite.add_argument("--explain", action="store_true",
                          help="print per-stage pipeline timings (index probe, "
                               "image discovery, candidate generation, "

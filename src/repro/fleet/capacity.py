@@ -208,18 +208,14 @@ class AdmissionPolicy:
 
     ``uncertified_max_conjuncts`` / ``uncertified_max_level`` are the
     budget clamps imposed on tenants whose Σ has no termination
-    certificate; ``control_cost`` is the nominal charge for control-plane
-    ops (ping/stats) so they pass through the same accounting without
-    distorting it.
+    certificate.
     """
 
     uncertified_max_conjuncts: int = 2_000
     uncertified_max_level: int = 8
-    control_cost: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("uncertified_max_conjuncts", "uncertified_max_level",
-                     "control_cost"):
+        for name in ("uncertified_max_conjuncts", "uncertified_max_level"):
             if getattr(self, name) <= 0:
                 raise CapacityError(
                     f"AdmissionPolicy.{name} must be positive, "

@@ -11,14 +11,14 @@ the E17 benchmark compares affinity against.
 Three execution modes share one request path (``handle_record``):
 
 * ``thread`` — one worker thread per shard (the default).  Shards share
-  a single :class:`~repro.api.persistent.PersistentCache` connection
-  when the config names one.
+  one :class:`~repro.api.persistent.PersistentCache` connection, which
+  the pool opens when the config names a ``persistent_cache_path``.
 * ``process`` — one worker process per shard, for CPU parallelism
   beyond the GIL.  Each process opens its own connection to the shared
   persistent-cache file, which is how sibling workers warm each other.
 * ``inline`` — shard solvers executed synchronously in the caller's
-  thread.  No concurrency, identical routing and caching; used by
-  deterministic tests and benchmarks.
+  thread.  No concurrency, identical routing and caching (the shared
+  connection included); used by deterministic tests and benchmarks.
 
 Thread and inline shards read their pool's one
 :class:`~repro.service.protocol.TenantParser`, the memo the front end
@@ -42,7 +42,6 @@ import threading
 from concurrent.futures import Future
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from repro.api.backend import CacheBackend
 from repro.api.config import SolverConfig
 from repro.api.persistent import PersistentCache
 from repro.exceptions import ReproError
@@ -200,8 +199,7 @@ class ShardedSolverPool:
                  defaults: ServiceDefaults = ServiceDefaults(),
                  limits: ServiceLimits = ServiceLimits(),
                  max_pending: int = 1024,
-                 routing_seed: int = 0,
-                 cache_backend: Optional[CacheBackend] = None):
+                 routing_seed: int = 0):
         if shard_count <= 0:
             raise ReproError("shard_count must be positive")
         if mode not in POOL_MODES:
@@ -209,13 +207,6 @@ class ShardedSolverPool:
                 f"unknown pool mode {mode!r}; expected one of {POOL_MODES}")
         if max_pending <= 0:
             raise ReproError("max_pending must be positive")
-        if cache_backend is not None and mode == "process":
-            # A Python object cannot cross the process boundary; process
-            # shards share state through a path-addressed store instead
-            # (SolverConfig.persistent_cache_path).
-            raise ReproError(
-                "cache_backend is only supported for thread/inline pools; "
-                "process shards share through persistent_cache_path")
         self.config = config or SolverConfig()
         self.mode = mode
         self.defaults = defaults
@@ -230,18 +221,13 @@ class ShardedSolverPool:
         self.catalogs = CatalogStore()
         self.rejected = 0
         self._random = random.Random(routing_seed)
-        # In-process modes share one warm-tier backend — an injected
-        # CacheBackend (several pools/fleet nodes may share it; its owner
-        # closes it) or a pool-owned connection to the configured SQLite
-        # store.  Process shards each open their own connection to the
-        # store's path (SQLite WAL arbitrates).
-        self.shared_persistent: Optional[CacheBackend] = cache_backend
-        self._owns_persistent = False
-        if (cache_backend is None and mode != "process"
-                and self.config.persistent_cache_path is not None):
+        # Thread and inline shards share one pool-owned connection to the
+        # configured store; process shards each open their own connection
+        # to its path (SQLite WAL arbitrates).
+        self.shared_persistent: Optional[PersistentCache] = None
+        if mode != "process" and self.config.persistent_cache_path is not None:
             self.shared_persistent = PersistentCache(
                 self.config.persistent_cache_path)
-            self._owns_persistent = True
         self.shards: List[_Shard] = [_Shard(index, self)
                                      for index in range(shard_count)]
 
@@ -403,7 +389,7 @@ class ShardedSolverPool:
     def close(self) -> None:
         for shard in self.shards:
             shard.close()
-        if self.shared_persistent is not None and self._owns_persistent:
+        if self.shared_persistent is not None:
             self.shared_persistent.close()
 
     def __enter__(self) -> "ShardedSolverPool":

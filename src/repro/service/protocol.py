@@ -799,13 +799,13 @@ def _dispatch(record: Dict[str, Any], solver: Solver, defaults: ServiceDefaults,
             span.tags.update(relations=len(schema), dependencies=len(sigma))
     max_conjuncts = min(record.get("max_conjuncts") or limits.max_conjuncts,
                         limits.max_conjuncts)
+    max_level = min(record.get("max_level") or limits.max_level,
+                    limits.max_level)
 
     if op == "contain":
         # The level ceiling also caps the termination-certified deepening
         # for general Σ, so a tenant whose weakly-acyclic rules saturate
         # very deep cannot monopolise a shard.
-        max_level = min(record.get("max_level") or limits.max_level,
-                        limits.max_level)
         config = solver.config.derive(max_conjuncts=max_conjuncts,
                                       saturation_level_cap=max_level)
         query_prime = parse_query(record["query_prime"], schema)
@@ -817,8 +817,6 @@ def _dispatch(record: Dict[str, Any], solver: Solver, defaults: ServiceDefaults,
                                  response.cache_hit, shard)
 
     if op == "chase":
-        max_level = min(record.get("max_level") or limits.max_level,
-                        limits.max_level)
         variant = ChaseVariant(record.get("variant", "R"))
         config = solver.config.derive(variant=variant,
                                       chase_max_conjuncts=max_conjuncts)
@@ -842,10 +840,12 @@ def _dispatch(record: Dict[str, Any], solver: Solver, defaults: ServiceDefaults,
             "resolved here; route rewrite-by-fingerprint records through a "
             "pool or coordinator front end")
     catalog = parser.catalog(views_text, schema_text)
-    config = solver.config.derive(max_conjuncts=max_conjuncts)
+    # Certification is containment, so it gets contain's level ceiling.
+    config = solver.config.derive(max_conjuncts=max_conjuncts,
+                                  saturation_level_cap=max_level)
     if record.get("strategy") is not None:
-        # Validated by SolverConfig via the rewriter registry; an
-        # unknown name raises ViewError → a "parse" error envelope.
+        # Validated by SolverConfig; an unknown name raises ViewError →
+        # a "parse" error envelope.
         config = config.derive(rewrite_strategy=record["strategy"])
     response = solver.solve(RewriteRequest(
         query, catalog, sigma, config=config, tag=record.get("id")))

@@ -12,9 +12,9 @@ use **materialized views** under FDs and INDs, via chase & backchase.
   (catalog index → image discovery → candidate generation →
   certification → ranking) returning a ranked :class:`RewriteReport`
   of certified rewritings;
-* :mod:`repro.views.registry` — the pluggable candidate-generation
-  strategies (``"exhaustive"`` — the certified reference subset sweep;
-  ``"bucketed"`` — MiniCon-style buckets behind a
+* :mod:`repro.views.registry` — the two candidate-generation
+  strategies by name (``"exhaustive"`` — the certified reference subset
+  sweep; ``"bucketed"`` — MiniCon-style buckets behind a
   :class:`CatalogIndex` for thousand-view catalogs);
 * :mod:`repro.views.cost` — pluggable ranking (default: fewest atoms,
   then fewest base-relation accesses).
@@ -34,11 +34,7 @@ from repro.views.expansion import expand_query, expand_view_atom
 from repro.views.index import CatalogIndex, build_catalog_index
 from repro.views.registry import (
     DEFAULT_REWRITE_STRATEGY,
-    REWRITE_STRATEGY_ENV_VAR,
-    RewriterProtocol,
-    available_rewriters,
-    create_rewriter,
-    register_rewriter,
+    REWRITE_STRATEGIES,
     resolve_rewriter_name,
     validate_rewriter_name,
 )
@@ -61,24 +57,20 @@ __all__ = [
     "CostModel",
     "DEFAULT_REWRITE_STRATEGY",
     "ExhaustiveRewriter",
-    "REWRITE_STRATEGY_ENV_VAR",
+    "REWRITE_STRATEGIES",
     "RewriteReport",
-    "RewriterProtocol",
     "Rewriting",
     "View",
     "ViewCatalog",
     "ViewImage",
-    "available_rewriters",
     "build_buckets",
     "build_catalog_index",
-    "create_rewriter",
     "default_cost",
     "expand_query",
     "expand_view_atom",
     "find_view_images",
     "iter_bucket_combinations",
     "match_level",
-    "register_rewriter",
     "resolve_rewriter_name",
     "rewrite_with_views",
     "validate_rewriter_name",

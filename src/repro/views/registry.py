@@ -1,151 +1,54 @@
-"""The rewriter-strategy registry: pluggable candidate generation.
+"""The view rewriter's candidate-generation strategies, by name.
 
-PR 9 made the chase engine pluggable behind ``chase/registry.py``; this
-module is the same shape for the view-rewriting pipeline's candidate
-generation stage.  A *rewriter* decides which catalog views are worth
-matching and which image combinations become candidate rewritings; the
-chase, certification, and ranking stages around it are shared.
-
-Two strategies ship built in:
+A *rewriter* decides which catalog views are worth matching and which
+image combinations become candidate rewritings; the chase,
+certification, and ranking stages around it are shared.  Two strategies
+exist:
 
 * ``"exhaustive"`` — the seed behaviour, kept verbatim: every view is
   matched, candidates are all subsets of the matched images up to the
-  combination-size budget.  The certified reference.
+  combination-size budget.  The certified reference and the default.
 * ``"bucketed"`` — MiniCon-style: a :class:`~repro.views.index.CatalogIndex`
   prunes views whose body relations (or constants) cannot occur in the
   chased query before any homomorphism search, and candidates grow only
   through per-subgoal buckets (see :mod:`repro.views.buckets`).
 
-Selection funnels through one shared validator, exactly like the chase
-engines: :class:`~repro.api.config.SolverConfig.rewrite_strategy`, the
-CLI's ``--strategy``, and ``$REPRO_REWRITE_STRATEGY`` all resolve here.
-
-This module stays import-light (no queries/homomorphism imports) so
-``repro.api.config`` can validate names without cycles; the builtin
-strategies register themselves when :mod:`repro.views.rewriting` loads.
+:class:`~repro.api.config.SolverConfig.rewrite_strategy`, the CLI's
+``--strategy`` and the wire's ``strategy`` field all validate here.  The
+classes live in :mod:`repro.views.rewriting`; this module imports
+nothing from the views pipeline, so ``repro.api.config`` can validate
+names without an import cycle.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Dict, Protocol, Sequence, runtime_checkable
+from typing import Optional
 
 from repro.exceptions import ViewError
 
 __all__ = [
     "DEFAULT_REWRITE_STRATEGY",
-    "REWRITE_STRATEGY_ENV_VAR",
-    "RewriterProtocol",
-    "available_rewriters",
-    "create_rewriter",
-    "register_rewriter",
+    "REWRITE_STRATEGIES",
     "resolve_rewriter_name",
-    "rewriter_factory",
     "validate_rewriter_name",
 ]
 
-#: Environment variable consulted when no strategy is configured.
-REWRITE_STRATEGY_ENV_VAR = "REPRO_REWRITE_STRATEGY"
+#: Every strategy name, in the order the CLI lists them.
+REWRITE_STRATEGIES = ("exhaustive", "bucketed")
 
-#: The strategy used when neither config nor environment chooses one.
+#: The strategy used when none is named.
 DEFAULT_REWRITE_STRATEGY = "exhaustive"
-
-#: A factory takes no arguments and returns a fresh rewriter instance
-#: (rewriters carry per-search counters, so instances are never shared).
-RewriterFactory = Callable[[], "RewriterProtocol"]
-
-_REGISTRY: Dict[str, RewriterFactory] = {}
-
-
-@runtime_checkable
-class RewriterProtocol(Protocol):
-    """What the rewrite pipeline requires of a candidate-generation strategy.
-
-    ``strategy_name`` echoes the registry name into reports.
-    ``views_pruned`` is read after :meth:`select_views` (how many catalog
-    views the strategy refused to match at all).
-    """
-
-    strategy_name: str
-    views_pruned: int
-
-    def select_views(self, catalog, chase_atoms, index_provider) -> Sequence:
-        """The catalog views worth running a homomorphism search for.
-
-        ``index_provider`` is a zero-argument callable returning the
-        catalog's :class:`~repro.views.index.CatalogIndex` (possibly from
-        the solver's cross-call cache); strategies that do not index
-        simply never call it.
-        """
-        ...
-
-    def candidate_combinations(self, images, base_conjuncts, summary_row,
-                               max_combination_size):
-        """Yield tuples of :class:`ViewImage` to try as candidate rewritings."""
-        ...
-
-
-def register_rewriter(name: str, factory: RewriterFactory, *,
-                      replace: bool = False) -> None:
-    """Register a rewriter factory under ``name``.
-
-    Registration is additive; re-registering an existing name raises
-    unless ``replace=True`` (so a typo cannot silently shadow a builtin).
-    """
-    if not name:
-        raise ViewError("rewriter name must be a non-empty string")
-    if name in _REGISTRY and not replace:
-        raise ViewError(
-            f"rewriter {name!r} is already registered; pass replace=True "
-            "to override it")
-    _REGISTRY[name] = factory
-
-
-def available_rewriters() -> tuple:
-    """Registered strategy names, in registration order (builtins first)."""
-    _ensure_builtins()
-    return tuple(_REGISTRY)
 
 
 def validate_rewriter_name(name: str) -> str:
-    """The one shared validator: returns ``name`` or raises :class:`ViewError`.
-
-    ``SolverConfig``, the CLI, and the resolver below all funnel through
-    here, so an unknown strategy fails identically at every layer.
-    """
-    _ensure_builtins()
-    if name not in _REGISTRY:
-        known = ", ".join(sorted(_REGISTRY))
+    """Return ``name``, or raise :class:`ViewError` naming the strategies."""
+    if name not in REWRITE_STRATEGIES:
+        known = ", ".join(sorted(REWRITE_STRATEGIES))
         raise ViewError(
             f"unknown rewrite strategy {name!r}; registered strategies: {known}")
     return name
 
 
-def resolve_rewriter_name(name=None) -> str:
-    """Resolve a possibly-absent strategy name to a registered one.
-
-    Explicit name → ``$REPRO_REWRITE_STRATEGY`` → the default, validated.
-    """
-    resolved = name or os.environ.get(REWRITE_STRATEGY_ENV_VAR) or DEFAULT_REWRITE_STRATEGY
-    return validate_rewriter_name(resolved)
-
-
-def rewriter_factory(name=None) -> RewriterFactory:
-    """The factory behind ``name`` (resolved as :func:`resolve_rewriter_name`)."""
-    return _REGISTRY[resolve_rewriter_name(name)]
-
-
-def create_rewriter(name=None) -> "RewriterProtocol":
-    """A fresh rewriter instance for one search."""
-    return rewriter_factory(name)()
-
-
-def _ensure_builtins() -> None:
-    """Import the builtin strategies on first registry use.
-
-    ``repro.views.rewriting`` registers ``"exhaustive"`` and
-    ``"bucketed"`` at import time; importing it lazily here avoids a
-    circular import (rewriting imports this module for the protocol).
-    """
-    if DEFAULT_REWRITE_STRATEGY not in _REGISTRY:
-        import repro.views.rewriting  # noqa: F401  (registers builtins)
+def resolve_rewriter_name(name: Optional[str] = None) -> str:
+    """``name`` validated; no name (``None``) means the default."""
+    return validate_rewriter_name(name or DEFAULT_REWRITE_STRATEGY)

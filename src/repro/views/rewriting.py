@@ -61,7 +61,7 @@ from repro.views.buckets import (
 from repro.views.cost import CostModel, default_cost
 from repro.views.expansion import expand_query
 from repro.views.index import build_catalog_index
-from repro.views.registry import register_rewriter
+from repro.views.registry import resolve_rewriter_name
 from repro.views.view import ViewCatalog
 
 
@@ -311,7 +311,7 @@ class ExhaustiveRewriter:
 
     The certified reference the bucketed strategy is differentially
     tested against — its enumeration order and truncation points are
-    byte-identical to the pre-registry monolithic search.
+    byte-identical to the original single-function search.
     """
 
     strategy_name = "exhaustive"
@@ -362,8 +362,8 @@ class BucketedRewriter:
             max_combination_size, self.statistics)
 
 
-register_rewriter("exhaustive", ExhaustiveRewriter)
-register_rewriter("bucketed", BucketedRewriter)
+#: The class behind each name in :data:`~repro.views.registry.REWRITE_STRATEGIES`.
+_REWRITERS = {"exhaustive": ExhaustiveRewriter, "bucketed": BucketedRewriter}
 
 
 # ---------------------------------------------------------------------------
@@ -403,21 +403,43 @@ def rewrite_with_views(query: ConjunctiveQuery,
     number of view images collected, the number of view atoms per
     candidate, and the number of candidates certified.
 
-    ``strategy`` names a registered rewriter (``None`` resolves through
-    ``$REPRO_REWRITE_STRATEGY`` to ``"exhaustive"``); ``catalog_index``
-    optionally supplies a prebuilt
+    ``strategy`` names one of
+    :data:`~repro.views.registry.REWRITE_STRATEGIES` (``None`` is
+    ``"exhaustive"``); ``catalog_index`` optionally supplies a prebuilt
     :class:`~repro.views.index.CatalogIndex` for the catalog (the solver
     passes its fingerprint-cached one) — index-using strategies build a
     fresh one when it is absent.
 
-    ``containment_options`` are the legacy containment keywords, passed
-    through to every certification call; the matching chase follows the
-    solver's variant and, unless overridden here, its conjunct budget.
+    ``containment_options`` are the legacy containment keywords.  Applied
+    to the solver's config, they govern every certification call and the
+    matching chase, which also takes that config's engine and, unless
+    ``chase_max_conjuncts`` is given, its conjunct budget.
     """
-    report = _rewrite_with_views(
-        query, catalog, dependencies, solver, cost_model, max_images,
-        max_combination_size, max_candidates, chase_level,
-        chase_max_conjuncts, strategy, catalog_index, **containment_options)
+    from repro.api.solver import resolve_solver
+
+    session = resolve_solver(solver)
+    return _rewrite_with_views(
+        query, catalog, dependencies, session,
+        session.config.with_legacy_kwargs(**containment_options),
+        cost_model=cost_model, max_images=max_images,
+        max_combination_size=max_combination_size,
+        max_candidates=max_candidates, chase_level=chase_level,
+        chase_max_conjuncts=chase_max_conjuncts, strategy=strategy,
+        catalog_index=catalog_index)
+
+
+def _rewrite_with_views(query: ConjunctiveQuery, catalog: ViewCatalog,
+                        dependencies: Optional[DependencySet], session,
+                        config, **search) -> RewriteReport:
+    """The search on ``session`` under the :class:`SolverConfig` ``config``.
+
+    ``search`` holds :func:`rewrite_with_views`' keywords from
+    ``cost_model`` to ``catalog_index``.  :meth:`Solver.rewrite
+    <repro.api.solver.Solver.rewrite>` calls this with a request's own
+    config, so certification and the matching chase follow every field
+    its cache key records.
+    """
+    report = _search(query, catalog, dependencies, session, config, **search)
     probe = _probe.ACTIVE
     if probe is not None:
         probe.rewrite(report.candidates_tried, len(report.rewritings),
@@ -428,30 +450,24 @@ def rewrite_with_views(query: ConjunctiveQuery,
     return report
 
 
-def _rewrite_with_views(query: ConjunctiveQuery,
-                        catalog: ViewCatalog,
-                        dependencies: Optional[DependencySet] = None,
-                        solver=None,
-                        cost_model: Optional[CostModel] = None,
-                        max_images: int = 64,
-                        max_combination_size: int = 2,
-                        max_candidates: int = 256,
-                        chase_level: Optional[int] = None,
-                        chase_max_conjuncts: Optional[int] = None,
-                        strategy: Optional[str] = None,
-                        catalog_index=None,
-                        **containment_options) -> RewriteReport:
-    from repro.api.solver import resolve_solver
+def _search(query: ConjunctiveQuery, catalog: ViewCatalog,
+            dependencies: Optional[DependencySet], session, config, *,
+            cost_model: Optional[CostModel] = None,
+            max_images: int = 64,
+            max_combination_size: int = 2,
+            max_candidates: int = 256,
+            chase_level: Optional[int] = None,
+            chase_max_conjuncts: Optional[int] = None,
+            strategy: Optional[str] = None,
+            catalog_index=None) -> RewriteReport:
     from repro.chase.engine import ChaseConfig
-    from repro.views.registry import create_rewriter
 
-    session = resolve_solver(solver)
     sigma = dependencies if dependencies is not None else DependencySet()
     ranking = cost_model if cost_model is not None else default_cost
     if catalog.base_schema is not None and catalog.base_schema != query.input_schema:
         raise ViewError(
             f"query {query.name} is not over the catalog's base schema")
-    rewriter = create_rewriter(strategy)
+    rewriter = _REWRITERS[resolve_rewriter_name(strategy)]()
     report = RewriteReport(original=query, dependencies=sigma,
                            catalog_size=len(catalog),
                            strategy=rewriter.strategy_name)
@@ -461,12 +477,12 @@ def _rewrite_with_views(query: ConjunctiveQuery,
     timings = report.stage_timings
     watch = Stopwatch()
     chase_config = ChaseConfig(
-        variant=containment_options.get("variant", session.config.variant),
+        variant=config.variant,
         max_level=chase_level if chase_level is not None else match_level(catalog),
         max_conjuncts=(chase_max_conjuncts if chase_max_conjuncts is not None
-                       else session.config.chase_max_conjuncts),
+                       else config.chase_max_conjuncts),
         record_trace=False,
-        engine=session.config.chase_engine,
+        engine=config.chase_engine,
     )
     chase_result = session.chase(query, sigma, chase_config)
     timings["chase"] = watch.restart()
@@ -545,12 +561,13 @@ def _rewrite_with_views(query: ConjunctiveQuery,
                 candidate, catalog, name=f"{query.name}_views_expanded")
         except QueryError:
             continue
-        forward = session.is_contained(expansion, query, sigma,
-                                       **containment_options)
+        # ``config`` itself, not the legacy-keyword ``is_contained``:
+        # that takes the fields it has no keyword for (engine,
+        # termination certification, level cap) from the session.
+        forward, _ = session._decide(expansion, query, sigma, config)
         if not (forward.certain and forward.holds):
             continue
-        backward = session.is_contained(query, expansion, sigma,
-                                        **containment_options)
+        backward, _ = session._decide(query, expansion, sigma, config)
         if not (backward.certain and backward.holds):
             continue
         certified.append(Rewriting(

@@ -3,8 +3,8 @@
 Covers the PR 6 tentpole and satellites: the coordinator/node control
 plane (register, heartbeat, drain, evacuate, quota, status), MAAS-style
 capacity accounting with termination-aware admission, dead-node
-rerouting with no acknowledged responses lost, the CacheBackend
-protocol extraction, ServiceClient reconnect-and-retry, routing
+rerouting with no acknowledged responses lost, the shared persistent
+warm tier, ServiceClient reconnect-and-retry, routing
 fairness of ``shard_for``, and multi-stream traffic determinism.
 """
 
@@ -18,13 +18,10 @@ from types import SimpleNamespace
 import pytest
 
 from repro.api import (
-    CacheBackend,
     ContainmentRequest,
-    MemoryCacheBackend,
     PersistentCache,
     Solver,
     SolverConfig,
-    backend_stats,
     dependency_fingerprint,
     schema_fingerprint,
 )
@@ -35,7 +32,6 @@ from repro.chase.termination import (
     position_ranks,
 )
 from repro.dependencies.dependency_set import DependencySet
-from repro.exceptions import ReproError
 from repro.fleet import (
     AdmissionPolicy,
     CapacityError,
@@ -543,76 +539,58 @@ class TestHeartbeatLoop:
 
 
 # ---------------------------------------------------------------------------
-# Satellite: CacheBackend protocol
+# Satellite: the shared warm tier (one PersistentCache)
 # ---------------------------------------------------------------------------
 
 
-class TestCacheBackend:
-    def test_memory_backend_satisfies_protocol(self):
-        assert isinstance(MemoryCacheBackend(), CacheBackend)
-        assert isinstance(PersistentCache(":memory:"), CacheBackend)
-
-    def test_memory_backend_roundtrip(self):
-        backend = MemoryCacheBackend()
-        assert backend.get("chase", ("k",)) is None
-        backend.put("chase", ("k",), {"v": 1})
-        assert backend.get("chase", ("k",)) == {"v": 1}
-        assert backend.sizes()["chase"] == 1
-        stats = backend.stats()
-        assert stats["hits"] == 1 and stats["misses"] == 1
-        backend.clear()
-        assert backend.get("chase", ("k",)) is None
-
-    def test_solver_accepts_any_backend(self):
-        backend = MemoryCacheBackend()
+class TestSharedWarmTier:
+    def test_two_solvers_share_one_persistent_store(self):
+        store = PersistentCache(":memory:")
         schema = parse_schema(SCHEMA_TEXT)
         sigma = parse_dependencies(DEPS_TEXT, schema)
         request = ContainmentRequest(parse_query(QUERY, schema),
                                      parse_query(QUERY_PRIME, schema), sigma)
-        first = Solver(SolverConfig(), persistent_cache=backend)
+        first = Solver(SolverConfig(), persistent_cache=store)
         assert first.solve(request).cache_hit is False
-        # A second solver sharing the backend starts warm.
-        second = Solver(SolverConfig(), persistent_cache=backend)
+        # A second solver handed the same store starts warm.
+        second = Solver(SolverConfig(), persistent_cache=store)
         assert second.solve(request).cache_hit is True
-        assert second.cache_stats()["persistent"]["hits"] >= 1
+        persistent = second.cache_stats()["persistent"]
+        assert persistent["hits"] == 1
+        assert set(persistent) == {"path", "hits", "misses", "writes", "size",
+                                   "hit_rate", "namespaces", "store"}
+        # Neither solver opened the store, so neither closes it.
+        first.close()
+        second.close()
+        assert store.sizes()["containment"] == 1
+        store.close()
 
-    def test_backend_stats_synthesizes_for_minimal_backends(self):
-        class Minimal:
-            def get(self, namespace, key):
-                return None
+    def test_two_pools_share_one_persistent_file(self, tmp_path):
+        config = SolverConfig(
+            persistent_cache_path=str(tmp_path / "warm.sqlite"))
+        first = ShardedSolverPool(shard_count=2, mode="inline", config=config)
+        second = ShardedSolverPool(shard_count=2, mode="inline", config=config)
+        try:
+            cold = first.execute(contain_record())
+            warm = second.execute(contain_record())
+        finally:
+            first.close()
+            second.close()
+        assert cold["ok"] and cold["cache_hit"] is False
+        assert warm["ok"] and warm["cache_hit"] is True
+        assert warm["result"]["holds"] == cold["result"]["holds"]
 
-            def put(self, namespace, key, value):
-                pass
-
-            def sizes(self):
-                return {"containment": 2}
-
-            def clear(self):
-                pass
-
-            def close(self):
-                pass
-
-        stats = backend_stats(Minimal())
-        assert stats["namespaces"] == {"containment": 2}
-        assert stats["path"] == "Minimal"
-
-    def test_pool_shares_injected_backend_without_owning_it(self):
-        backend = MemoryCacheBackend()
-        pool = ShardedSolverPool(shard_count=2, mode="inline",
-                                 cache_backend=backend)
-        pool.execute(contain_record())
-        pool.close()
-        # The pool did not close the backend it was handed...
-        backend.put("chase", ("still-open",), 1)
-        # ...and the answers it computed are in there.
-        assert backend.sizes()["containment"] >= 1
-        backend.close()
-
-    def test_pool_rejects_backend_with_process_mode(self):
-        with pytest.raises(ReproError, match="process"):
-            ShardedSolverPool(shard_count=1, mode="process",
-                              cache_backend=MemoryCacheBackend())
+    @pytest.mark.parametrize("mode", ["inline", "thread"])
+    def test_in_process_shards_share_the_pools_connection(self, tmp_path, mode):
+        config = SolverConfig(
+            persistent_cache_path=str(tmp_path / "warm.sqlite"))
+        pool = ShardedSolverPool(shard_count=2, mode=mode, config=config)
+        try:
+            assert pool.shared_persistent is not None
+            assert all(shard.solver.persistent_cache is pool.shared_persistent
+                       for shard in pool.shards)
+        finally:
+            pool.close()
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Tests for the staged rewriter pipeline (PR 10).
 
-Covers the rewriter registry (mirroring the chase-engine registry
-contract), the signature-indexed :class:`CatalogIndex`, MiniCon-style
-bucketed candidate generation, the exhaustive strategy's equivalence to
-the seed enumeration, the seeded bucketed-vs-exhaustive differential
-sweep, the symmetric-view merged-coverage caveat under both strategies,
-the new report counters, catalog-scale workload generation, and the
-``repro rewrite --strategy/--explain`` CLI surface.
+Covers the fixed strategy table, the signature-indexed
+:class:`CatalogIndex`, MiniCon-style bucketed candidate generation, the
+exhaustive strategy's equivalence to the seed enumeration, the seeded
+bucketed-vs-exhaustive differential sweep, the symmetric-view
+merged-coverage caveat under both strategies, the new report counters,
+catalog-scale workload generation, and the ``repro rewrite
+--strategy/--explain`` CLI surface.
 """
 
 from __future__ import annotations
@@ -26,19 +26,15 @@ from repro.views import (
     CatalogIndex,
     DEFAULT_REWRITE_STRATEGY,
     ExhaustiveRewriter,
-    REWRITE_STRATEGY_ENV_VAR,
-    RewriterProtocol,
-    available_rewriters,
+    REWRITE_STRATEGIES,
     build_buckets,
     build_catalog_index,
-    create_rewriter,
     find_view_images,
-    register_rewriter,
     resolve_rewriter_name,
     rewrite_with_views,
     validate_rewriter_name,
 )
-from repro.views.registry import _REGISTRY
+from repro.views.rewriting import _REWRITERS
 from repro.workloads.dependency_generator import DependencyGenerator
 from repro.workloads.query_generator import QueryGenerator
 from repro.workloads.schema_generator import SchemaGenerator
@@ -60,73 +56,56 @@ def intro_setup():
 
 
 # ---------------------------------------------------------------------------
-# The registry contract (mirrors repro.chase.registry)
+# The fixed strategy table
 # ---------------------------------------------------------------------------
 
 
 class TestRewriterRegistry:
     def test_builtins_are_registered(self):
-        names = available_rewriters()
-        assert "exhaustive" in names
-        assert "bucketed" in names
+        assert REWRITE_STRATEGIES == ("exhaustive", "bucketed")
+        assert set(_REWRITERS) == set(REWRITE_STRATEGIES)
         assert DEFAULT_REWRITE_STRATEGY == "exhaustive"
 
     def test_validate_unknown_name_lists_the_registered_ones(self):
         with pytest.raises(ViewError) as info:
             validate_rewriter_name("minicon-2001")
-        assert "minicon-2001" in str(info.value)
-        assert "exhaustive" in str(info.value)
-        assert "bucketed" in str(info.value)
+        # The wire transcripts pin this wording byte for byte.
+        assert str(info.value) == (
+            "unknown rewrite strategy 'minicon-2001'; "
+            "registered strategies: bucketed, exhaustive")
 
     def test_viewerror_is_a_reproerror(self):
         with pytest.raises(ReproError):
             validate_rewriter_name("nope")
 
     def test_resolution_order(self, monkeypatch):
-        monkeypatch.delenv(REWRITE_STRATEGY_ENV_VAR, raising=False)
+        # No name means the default; a named strategy is itself.  The
+        # environment plays no part.
+        monkeypatch.setenv("REPRO_REWRITE_STRATEGY", "bucketed")
         assert resolve_rewriter_name(None) == "exhaustive"
-        monkeypatch.setenv(REWRITE_STRATEGY_ENV_VAR, "bucketed")
-        assert resolve_rewriter_name(None) == "bucketed"
-        # Explicit beats the environment.
-        assert resolve_rewriter_name("exhaustive") == "exhaustive"
-
-    def test_env_var_with_unknown_name_raises(self, monkeypatch):
-        monkeypatch.setenv(REWRITE_STRATEGY_ENV_VAR, "not-a-strategy")
+        for name in REWRITE_STRATEGIES:
+            assert resolve_rewriter_name(name) == name
         with pytest.raises(ViewError):
-            resolve_rewriter_name(None)
-
-    def test_register_requires_replace_to_overwrite(self):
-        with pytest.raises(ViewError):
-            register_rewriter("exhaustive", ExhaustiveRewriter)
-        register_rewriter("exhaustive", ExhaustiveRewriter, replace=True)
-
-    def test_register_rejects_empty_name(self):
-        with pytest.raises(ViewError):
-            register_rewriter("", ExhaustiveRewriter)
-
-    def test_custom_registration_and_cleanup(self):
-        class Echo(ExhaustiveRewriter):
-            strategy_name = "echo"
-
-        register_rewriter("echo", Echo)
-        try:
-            assert "echo" in available_rewriters()
-            assert isinstance(create_rewriter("echo"), Echo)
-        finally:
-            del _REGISTRY["echo"]
-        with pytest.raises(ViewError):
-            validate_rewriter_name("echo")
+            resolve_rewriter_name("not-a-strategy")
 
     def test_builtin_rewriters_satisfy_the_protocol(self):
-        assert isinstance(create_rewriter("exhaustive"), RewriterProtocol)
-        assert isinstance(create_rewriter("bucketed"), RewriterProtocol)
+        # What the pipeline reads of a rewriter, and the name it echoes
+        # into every report.
+        for name, rewriter_class in _REWRITERS.items():
+            rewriter = rewriter_class()
+            assert rewriter.strategy_name == name
+            assert rewriter.views_pruned == 0
+            assert callable(rewriter.select_views)
+            assert callable(rewriter.candidate_combinations)
 
     def test_config_validates_strategy(self):
-        with pytest.raises(ReproError):
+        with pytest.raises(ReproError,
+                           match="registered strategies: bucketed, exhaustive$"):
             SolverConfig(rewrite_strategy="not-a-strategy")
+        for name in REWRITE_STRATEGIES:
+            assert SolverConfig(rewrite_strategy=name).rewrite_strategy == name
 
-    def test_rewrite_key_resolves_strategy(self, monkeypatch):
-        monkeypatch.delenv(REWRITE_STRATEGY_ENV_VAR, raising=False)
+    def test_rewrite_key_resolves_strategy(self):
         default = SolverConfig().rewrite_key()
         explicit = SolverConfig(rewrite_strategy="exhaustive").rewrite_key()
         bucketed = SolverConfig(rewrite_strategy="bucketed").rewrite_key()
@@ -216,9 +195,7 @@ class TestExhaustiveEquivalence:
                     for combo in combinations(images, size)]
         assert produced == expected
 
-    def test_default_and_explicit_exhaustive_reports_are_identical(
-            self, monkeypatch):
-        monkeypatch.delenv(REWRITE_STRATEGY_ENV_VAR, raising=False)
+    def test_default_and_explicit_exhaustive_reports_are_identical(self):
         schema, sigma, query, catalog = intro_setup()
         implicit = rewrite_with_views(query, catalog, sigma)
         explicit = rewrite_with_views(query, catalog, sigma,
@@ -527,6 +504,13 @@ class TestRewriteCLIStrategy:
         for stage in ("chase", "index_probe", "image_discovery",
                       "candidate_generation", "certification", "ranking"):
             assert stage in out
+
+    def test_strategy_choices_are_the_fixed_strategies(self, capsys):
+        from repro.cli import main
+        with pytest.raises(SystemExit):
+            main(["rewrite", "--help"])
+        choices = "{" + ",".join(REWRITE_STRATEGIES) + "}"
+        assert f"--strategy {choices}" in capsys.readouterr().out
 
     def test_unknown_strategy_is_an_argparse_error(self, capsys):
         from repro.cli import main

@@ -774,6 +774,34 @@ class TestCatalogService:
                              schema=SCHEMA_TEXT, strategy="nope")
         assert not bad["ok"] and bad["error"]["kind"] == "parse"
 
+    def test_rewrite_certification_gets_the_level_ceiling(self, monkeypatch):
+        # As for contain: the record's max_level, capped by the service's.
+        caps = []
+        decide = Solver._decide
+
+        def spy_decide(self, query, query_prime, dependencies, config):
+            caps.append(config.saturation_level_cap)
+            return decide(self, query, query_prime, dependencies, config)
+
+        monkeypatch.setattr(Solver, "_decide", spy_decide)
+        record = {"op": "rewrite", "id": "rw", "query": QUERY_PRIME,
+                  "views": VIEWS_TEXT, "schema": SCHEMA_TEXT,
+                  "deps": DEPS_TEXT}
+        with ShardedSolverPool(shard_count=1, mode="inline",
+                               limits=ServiceLimits(max_level=2)) as pool:
+            ceiling = pool.execute(record)
+            ceiling_caps = list(caps)
+            caps.clear()
+            lower = pool.execute(dict(record, max_level=1))
+            higher = pool.execute(dict(record, max_level=9))
+        assert ceiling["ok"] and ceiling["result"]["rewritings"]
+        assert lower["ok"] and higher["ok"]
+        assert ceiling_caps and set(ceiling_caps) == {2}
+        # max_level 9 is capped to the ceiling, so it reuses the first
+        # answer; only max_level 1 certifies again.
+        assert higher["cache_hit"]
+        assert caps and set(caps) == {1}
+
     def test_catalog_traffic_replays_through_a_pool(self):
         traffic = TrafficGenerator(tenant_count=3, seed=11)
         with ShardedSolverPool(shard_count=2, mode="inline") as pool:

@@ -225,6 +225,36 @@ class TestSolverIntegration:
             intro.q1, dept_emp_catalog, intro.dependencies))
         assert not response.cache_hit
 
+    def test_request_config_governs_certification_and_chase(
+            self, intro, dept_emp_catalog, monkeypatch):
+        # The session names one engine and no level cap; the request names
+        # the other engine and a cap.  Every certification and every chase
+        # the rewrite runs must follow the request.
+        decided, chased = [], []
+        decide, cached_chase = Solver._decide, Solver._cached_chase
+
+        def spy_decide(self, query, query_prime, dependencies, config):
+            decided.append(config)
+            return decide(self, query, query_prime, dependencies, config)
+
+        def spy_chase(self, query, dependencies, config):
+            chased.append(config)
+            return cached_chase(self, query, dependencies, config)
+
+        monkeypatch.setattr(Solver, "_decide", spy_decide)
+        monkeypatch.setattr(Solver, "_cached_chase", spy_chase)
+        request_config = SolverConfig(chase_engine="legacy",
+                                      saturation_level_cap=3)
+        solver = Solver(SolverConfig(chase_engine="columnar"))
+        response = solver.solve(RewriteRequest(
+            intro.q1, dept_emp_catalog, intro.dependencies,
+            config=request_config))
+        assert response.report.rewritings
+        assert decided and chased
+        assert all(config.containment_key() == request_config.containment_key()
+                   for config in decided)
+        assert all(config.engine == "legacy" for config in chased)
+
     def test_certificate_bearing_reports_are_never_cached(self, intro,
                                                           dept_emp_catalog):
         """Mirrors the containment cache's invariant: certificates are
