@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, List, Mapping, Sequence
+from typing import Any, Iterable, List, Mapping, Sequence
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.chase.engine import ChaseStatistics
+from repro.chase.engine import ChaseStatistics
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[Any]],
@@ -53,37 +52,21 @@ def series_report(name: str, xs: Sequence[Any], ys: Sequence[Any],
     )
 
 
-def chase_statistics_report(statistics_by_engine: Mapping[str, "ChaseStatistics"],
+def chase_statistics_report(statistics_by_engine: Mapping[str, ChaseStatistics],
                             title: str = "chase work accounting") -> str:
     """Side-by-side work accounting for chase runs, one column per engine.
 
-    Renders every counter a :class:`~repro.chase.engine.ChaseStatistics`
-    carries — rule applications *and* the examined/fired trigger counts —
+    Renders one row per counter in ``ChaseStatistics.COUNTERS``, then the
+    derived ``total_steps``, ``max_level_reached`` and ``triggers_fired``,
     so the incremental-chase benchmark can print legacy and columnar runs
-    of the same workload next to each other.  The derived totals come
-    from the statistics object's own properties, keeping this table
-    truthful by construction.
+    of the same workload next to each other.  The derived rows come from
+    the statistics object's own properties, keeping this table truthful
+    by construction.
     """
-    counters = (
-        ("fd steps", lambda s: s.fd_steps),
-        ("ind steps", lambda s: s.ind_steps),
-        ("redundant ind applications", lambda s: s.redundant_ind_applications),
-        ("merged conjuncts", lambda s: s.merged_conjuncts),
-        ("total steps", lambda s: s.total_steps),
-        ("max level reached", lambda s: s.max_level_reached),
-        ("triggers examined", lambda s: s.triggers_examined),
-        ("triggers fired", lambda s: s.triggers_fired),
-        ("index hits", lambda s: s.index_hits),
-        ("delta seeded matches", lambda s: s.delta_seeded_matches),
-        ("trigger cache hits", lambda s: s.trigger_cache_hits),
-        ("interned terms", lambda s: s.interned_terms),
-        ("union-find unions", lambda s: s.union_find_unions),
-        ("union-find finds", lambda s: s.union_find_finds),
-        ("column probes", lambda s: s.column_probes),
-    )
     engines = list(statistics_by_engine)
     rows = [
-        [label] + [reader(statistics_by_engine[engine]) for engine in engines]
-        for label, reader in counters
+        [name] + [getattr(statistics_by_engine[engine], name) for engine in engines]
+        for name in (*ChaseStatistics.COUNTERS,
+                     "total_steps", "max_level_reached", "triggers_fired")
     ]
     return format_table(headers=["counter"] + engines, rows=rows, title=title)

@@ -65,7 +65,7 @@ from repro.exceptions import ReproError
 from repro.obs import probe as _probe
 from repro.obs.clock import monotonic
 from repro.obs.tracing import maybe_span
-from repro.optimizer.pipeline import OptimizationReport
+from repro.optimizer.pipeline import OptimizationReport, _optimize
 from repro.optimizer.pipeline import optimize as pipeline_optimize
 from repro.queries.conjunctive_query import ConjunctiveQuery
 from repro.views.cost import CostModel
@@ -587,23 +587,11 @@ class Solver:
     def _solve_optimize(self, request: OptimizeRequest) -> OptimizeResponse:
         config = request.config or self._config
         self.stats.count("optimize_requests")
-        # A per-request config overrides the session for the pipeline's
-        # internal containment checks.
-        options = {}
-        if request.config is not None:
-            options = {
-                "variant": config.variant,
-                "level_bound": config.level_bound,
-                "max_conjuncts": config.max_conjuncts,
-                "record_trace": config.record_trace,
-                "with_certificate": config.with_certificate,
-                "deepening": config.deepening,
-            }
         started = monotonic()
         marker = self._cache_marker()
-        report = pipeline_optimize(
-            request.query, request.dependencies, name=request.name, solver=self,
-            **options)
+        # Join elimination certifies under the config the response reports.
+        report = _optimize(request.query, request.dependencies, request.name,
+                           self, config)
         cache_hit = self._cache_hit_since(marker)
         elapsed = monotonic() - started
         return OptimizeResponse(

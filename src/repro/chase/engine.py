@@ -45,7 +45,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import ClassVar, Dict, List, Optional, Tuple
 
 from repro.chase.chase_graph import ChaseGraph
 from repro.chase.events import ChaseTrace
@@ -188,6 +189,21 @@ class ChaseStatistics:
     union_find_unions: int = 0
     union_find_finds: int = 0
     column_probes: int = 0
+
+    #: Every counter above, in report order: the serialized chase
+    #: document, the work-accounting table and the metrics probe iterate
+    #: this.  ``max_level_reached`` is a maximum, not a count.
+    COUNTERS: ClassVar[Tuple[str, ...]] = (
+        "fd_steps", "ind_steps", "egd_steps", "tgd_steps",
+        "redundant_ind_applications", "redundant_tgd_applications",
+        "merged_conjuncts", "triggers_examined", "index_hits",
+        "delta_seeded_matches", "trigger_cache_hits", "interned_terms",
+        "union_find_unions", "union_find_finds", "column_probes")
+    _read_counts: ClassVar = attrgetter(*COUNTERS)
+
+    def counts(self) -> Tuple[int, ...]:
+        """The values of :attr:`COUNTERS`, in the same order."""
+        return self._read_counts(self)
 
     @property
     def total_steps(self) -> int:

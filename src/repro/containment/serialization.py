@@ -300,24 +300,8 @@ def chase_result_to_dict(result: "ChaseResult",
         "saturated": result.saturated,
         "truncated": result.truncated,
         "max_level": result.max_level(),
-        "statistics": {
-            "fd_steps": result.statistics.fd_steps,
-            "ind_steps": result.statistics.ind_steps,
-            "egd_steps": result.statistics.egd_steps,
-            "tgd_steps": result.statistics.tgd_steps,
-            "redundant_ind_applications": result.statistics.redundant_ind_applications,
-            "redundant_tgd_applications": result.statistics.redundant_tgd_applications,
-            "merged_conjuncts": result.statistics.merged_conjuncts,
-            "total_steps": result.statistics.total_steps,
-            "triggers_examined": result.statistics.triggers_examined,
-            "index_hits": result.statistics.index_hits,
-            "delta_seeded_matches": result.statistics.delta_seeded_matches,
-            "trigger_cache_hits": result.statistics.trigger_cache_hits,
-            "interned_terms": result.statistics.interned_terms,
-            "union_find_unions": result.statistics.union_find_unions,
-            "union_find_finds": result.statistics.union_find_finds,
-            "column_probes": result.statistics.column_probes,
-        },
+        "statistics": dict(zip(result.statistics.COUNTERS, result.statistics.counts()),
+                           total_steps=result.statistics.total_steps),
         "level_histogram": {str(level): count for level, count
                             in sorted(result.level_histogram().items())},
         "conjuncts": [] if result.failed else [

@@ -46,9 +46,10 @@ import asyncio
 import hmac
 import json
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional
 
-from repro.chase.termination import ChaseSizeEstimate, estimate_chase_size
+from repro.api.cache import LRUCache
+from repro.chase.termination import estimate_chase_size
 from repro.exceptions import ReproError
 from repro.fleet.capacity import (
     AdmissionDecision,
@@ -244,8 +245,9 @@ class FleetCoordinator(LineServer):
         self._by_name: Dict[str, NodeHandle] = {}
         # Per-tenant certification is priced once and reused: the memo
         # key is the routing identity, which already pins Σ exactly.
-        self._estimates: Dict[TenantKey, ChaseSizeEstimate] = {}
-        self._atom_counts: Dict[Tuple[str, str], int] = {}
+        # Clients choose tenants and queries, so both memos are bounded.
+        self._estimates = LRUCache(4096)
+        self._atom_counts = LRUCache(4096)
         # The fleet's registered catalogs.  The coordinator is the
         # source of truth: catalog.put/drop are admin-gated here, applied
         # locally, then broadcast to every alive node (and replayed to
@@ -461,12 +463,13 @@ class FleetCoordinator(LineServer):
                 tenant: TenantKey) -> AdmissionDecision:
         """Price one data-plane record (certification memoised per tenant)."""
         schema_text = record.get("schema") or self.defaults.schema_text
-        if tenant not in self._estimates:
+        estimate = self._estimates.get(tenant)
+        if estimate is None:
             schema = self._parser.schema(schema_text)
             sigma = self._parser.dependencies(
                 record.get("deps", self.defaults.deps_text), schema_text)
-            self._estimates[tenant] = estimate_chase_size(sigma, schema)
-        estimate = self._estimates[tenant]
+            estimate = estimate_chase_size(sigma, schema)
+            self._estimates.put(tenant, estimate)
         atoms = self._count_atoms(record.get("query", ""), schema_text)
         if record["op"] == "contain":
             atoms += self._count_atoms(record.get("query_prime", ""), schema_text)
@@ -478,14 +481,12 @@ class FleetCoordinator(LineServer):
 
     def _count_atoms(self, query_text: str, schema_text: str) -> int:
         key = (query_text, schema_text)
-        if key not in self._atom_counts:
+        atoms = self._atom_counts.get(key)
+        if atoms is None:
             schema = self._parser.schema(schema_text)
-            query = parse_query(query_text, schema)
-            self._atom_counts[key] = len(query.conjuncts)
-            if len(self._atom_counts) > 4096:
-                for old in list(self._atom_counts)[:2048]:
-                    del self._atom_counts[old]
-        return self._atom_counts[key]
+            atoms = len(parse_query(query_text, schema).conjuncts)
+            self._atom_counts.put(key, atoms)
+        return atoms
 
     async def _forward(self, record: Dict[str, Any]) -> Dict[str, Any]:
         """Route one data-plane record, under a root span.

@@ -194,26 +194,3 @@ def count_homomorphisms(problem: HomomorphismProblem, limit: Optional[int] = Non
         if limit is not None and count >= limit:
             break
     return count
-
-
-def homomorphism_images(problem: HomomorphismProblem,
-                        row: Sequence[Any]) -> List[Tuple[Any, ...]]:
-    """Images of ``row`` under every homomorphism of ``problem``.
-
-    ``row`` entries are terms; constants map to themselves (as raw values
-    when the target holds raw values, handled by the caller), variables map
-    to their assigned target entries.  This is the primitive behind query
-    evaluation: the answer relation is the set of images of the summary
-    row.
-    """
-    images: List[Tuple[Any, ...]] = []
-    seen: set = set()
-    for assignment in iter_homomorphisms(problem):
-        image = tuple(
-            assignment.get(entry, entry) if isinstance(entry, Variable) else entry
-            for entry in row
-        )
-        if image not in seen:
-            seen.add(image)
-            images.append(image)
-    return images

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import os
 import sys
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.obs import probe as _probe
 from repro.obs.clock import Stopwatch, monotonic, wall_time
@@ -69,7 +69,6 @@ __all__ = [
     "get_tracer",
     "health",
     "install",
-    "install_default_observability",
     "maybe_span",
     "monotonic",
     "new_span_id",
@@ -91,15 +90,6 @@ def ensure_default_probe() -> Probe:
     probe = _probe.ACTIVE
     if probe is None:
         probe = install(MetricsProbe())
-    return probe
-
-
-def install_default_observability(
-        slow_op_threshold_s: Optional[float] = None) -> Probe:
-    """One-call setup for serving processes: probe on, slow-op log armed."""
-    probe = ensure_default_probe()
-    if slow_op_threshold_s is not None:
-        get_tracer().slow_log.threshold_s = slow_op_threshold_s
     return probe
 
 

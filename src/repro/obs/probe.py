@@ -7,16 +7,18 @@ guarded by a single ``is None`` attribute check, so an uninstrumented
 process pays one pointer read per reporting site and nothing else.
 
 The default :class:`MetricsProbe` folds the engines' existing
-statistics objects (:class:`~repro.chase.engine.ChaseStatistics`,
-solver response fields) into the process metrics registry rather than
-keeping parallel counters: the engines keep reporting what they always
-reported, and the probe is the one place that translation lives.
+counting objects (:class:`~repro.chase.engine.ChaseStatistics`,
+:class:`~repro.views.rewriting.RewriteReport`, solver response fields)
+into the process metrics registry rather than keeping parallel
+counters: each counting class declares its counters once (``COUNTERS``,
+read by ``counts()``) and becomes one ``{kind}``-labelled family.
 Probes receive *end-of-run* summaries, never per-trigger callbacks —
 the grain at which reporting cannot distort what it measures.
 
-This module deliberately imports nothing from ``repro.chase`` or
-``repro.api``: statistics objects arrive duck-typed, which keeps the
-dependency arrow pointing from the engines *into* obs and never back.
+This module deliberately imports nothing from ``repro.chase``,
+``repro.api`` or ``repro.views``: counting objects arrive duck-typed,
+which keeps the dependency arrow pointing from the engines *into* obs
+and never back.
 """
 
 from __future__ import annotations
@@ -48,17 +50,8 @@ class Probe:
     def homomorphism(self, atoms: int, found: int) -> None:
         """One homomorphism search was exhausted or abandoned."""
 
-    def rewrite(self, candidates_tried: int, certified: int,
-                images: int, views_pruned: int = 0,
-                candidates_skipped_unsafe: int = 0,
-                candidates_deduped: int = 0) -> None:
-        """One chase & backchase rewrite search finished.
-
-        The last three arguments arrived with the staged rewriter
-        pipeline (catalog-index view pruning, safety-check and dedup
-        skips) and default to 0 so probes written against the original
-        three-argument hook keep working.
-        """
+    def rewrite(self, report: Any) -> None:
+        """One chase & backchase rewrite search finished; ``report`` is its RewriteReport."""
 
 
 #: The installed probe, or ``None`` (the near-zero disabled state).
@@ -112,78 +105,27 @@ class MetricsProbe(Probe):
             "repro_chase_conjuncts",
             "Live conjuncts per finished chase.",
             labels=(), buckets=DEFAULT_SIZE_BUCKETS)
-        self._chase_steps = registry.counter(
-            "repro_chase_steps_total",
-            "Chase rule applications by kind (redundant ones included).",
-            labels=("kind",))
-        self._triggers = registry.counter(
-            "repro_chase_triggers_examined_total",
-            "Candidate triggers inspected across all chases.")
-        self._index_hits = registry.counter(
-            "repro_chase_index_hits_total",
-            "Chase lookups answered by a persistent index.")
-        self._delta_matches = registry.counter(
-            "repro_chase_delta_seeded_matches_total",
-            "Embedded-rule body matches discovered from the delta log.")
-        self._trigger_cache_hits = registry.counter(
-            "repro_chase_trigger_cache_hits_total",
-            "Trigger re-derivations avoided by the semi-naive caches.")
-        self._interned_terms = registry.counter(
-            "repro_chase_interned_terms_total",
-            "Terms interned into dense ids by the columnar engine.")
-        self._union_find_unions = registry.counter(
-            "repro_chase_union_find_unions_total",
-            "EGD/FD merges recorded in the columnar union-find.")
-        self._union_find_finds = registry.counter(
-            "repro_chase_union_find_finds_total",
-            "Canonical-id lookups served by the columnar union-find.")
-        self._column_probes = registry.counter(
-            "repro_chase_column_probes_total",
-            "Per-column posting-list probes during columnar merges.")
+        self._chase_work = _WorkFamily(
+            registry, "repro_chase_work_total",
+            "Chase work by ChaseStatistics counter; units differ by kind, "
+            "so select one kind and never sum across kinds.")
         self._hom_searches = registry.counter(
             "repro_homomorphism_searches_total",
             "Homomorphism searches by whether a solution was found.",
             labels=("found",))
-        self._rewrite_candidates = registry.counter(
-            "repro_rewrite_candidates_total",
-            "Rewrite candidates certified or refuted.")
-        self._rewrite_certified = registry.counter(
-            "repro_rewrite_certified_total",
-            "Rewrite candidates that certified equivalent.")
-        self._rewrite_views_pruned = registry.counter(
-            "repro_rewrite_views_pruned_total",
-            "Catalog views the rewriter's signature index pruned before "
-            "any homomorphism search.")
-        self._rewrite_unsafe = registry.counter(
-            "repro_rewrite_candidates_unsafe_total",
-            "Rewrite candidates skipped by the head-variable safety check.")
-        self._rewrite_deduped = registry.counter(
-            "repro_rewrite_candidates_deduped_total",
-            "Rewrite candidates swallowed by the dedup set.")
+        self._rewrite_work = _WorkFamily(
+            registry, "repro_rewrite_work_total",
+            "Rewrite search work by RewriteReport counter; units differ "
+            "by kind, so select one kind and never sum across kinds.")
         # Hot-path children: label resolution is paid once here (or on
         # first sight of a new label combination), not per event — the
         # probe rides inside every chase and request (benchmark E20).
         self._request_children: dict = {}
         self._chase_children: dict = {}
         self._chase_conjuncts_series = self._chase_conjuncts.labels()
-        #: The work counters a finished chase moves, in the order
-        #: :meth:`chase` lists their amounts.
-        self._chase_work = (
-            *(self._chase_steps.labels(kind=kind)
-              for kind in ("fd", "egd", "ind", "tgd", "merged")),
-            *(counter.labels() for counter in (
-                self._triggers, self._index_hits, self._delta_matches,
-                self._trigger_cache_hits, self._interned_terms,
-                self._union_find_unions, self._union_find_finds,
-                self._column_probes)))
         self._hom_children = {
             found: self._hom_searches.labels(found=found)
             for found in ("true", "false")}
-        self._rewrite_candidates_series = self._rewrite_candidates.labels()
-        self._rewrite_certified_series = self._rewrite_certified.labels()
-        self._rewrite_views_pruned_series = self._rewrite_views_pruned.labels()
-        self._rewrite_unsafe_series = self._rewrite_unsafe.labels()
-        self._rewrite_deduped_series = self._rewrite_deduped.labels()
 
     def request(self, op: str, elapsed_s: float,
                 cache_hit: Optional[bool]) -> None:
@@ -208,29 +150,34 @@ class MetricsProbe(Probe):
         children[0].inc()
         children[1].observe(elapsed_s)
         self._chase_conjuncts_series.observe(conjuncts)
-        self.registry.add_counts(self._chase_work, (
-            statistics.fd_steps, statistics.egd_steps,
-            statistics.ind_applications, statistics.tgd_applications,
-            statistics.merged_conjuncts, statistics.triggers_examined,
-            statistics.index_hits, statistics.delta_seeded_matches,
-            statistics.trigger_cache_hits, statistics.interned_terms,
-            statistics.union_find_unions, statistics.union_find_finds,
-            statistics.column_probes))
+        self._chase_work.add(statistics)
 
     def homomorphism(self, atoms: int, found: int) -> None:
         self._hom_children["true" if found else "false"].inc()
 
-    def rewrite(self, candidates_tried: int, certified: int,
-                images: int, views_pruned: int = 0,
-                candidates_skipped_unsafe: int = 0,
-                candidates_deduped: int = 0) -> None:
-        if candidates_tried:
-            self._rewrite_candidates_series.inc(candidates_tried)
-        if certified:
-            self._rewrite_certified_series.inc(certified)
-        if views_pruned:
-            self._rewrite_views_pruned_series.inc(views_pruned)
-        if candidates_skipped_unsafe:
-            self._rewrite_unsafe_series.inc(candidates_skipped_unsafe)
-        if candidates_deduped:
-            self._rewrite_deduped_series.inc(candidates_deduped)
+    def rewrite(self, report: Any) -> None:
+        self._rewrite_work.add(report)
+
+
+class _WorkFamily:
+    """A ``{kind}``-labelled counter family fed by one counting class.
+
+    The children are resolved from the first reported object's
+    ``COUNTERS`` and reused while later objects carry the same
+    declaration, so an event costs one ``add_counts`` call: no label
+    lookup, no dict.
+    """
+
+    def __init__(self, registry: MetricsRegistry, name: str, help_text: str):
+        self._registry = registry
+        self._family = registry.counter(name, help_text, labels=("kind",))
+        self._resolved = (None, ())
+
+    def add(self, counting: Any) -> None:
+        declared, children = self._resolved
+        if declared is not counting.COUNTERS:
+            declared = counting.COUNTERS
+            children = tuple(self._family.labels(kind=kind) for kind in declared)
+            # One assignment, so a concurrent event reads a matching pair.
+            self._resolved = (declared, children)
+        self._registry.add_counts(children, counting.counts())

@@ -135,9 +135,21 @@ def eliminate_redundant_joins(query: ConjunctiveQuery, dependencies: DependencyS
     that failed the test once can never pass it later.  The stage is
     therefore linear in containment calls — at most one per conjunct of
     the input query — instead of restarting the scan after every drop.
+
+    ``containment_options`` are the legacy containment keywords, applied
+    to the solver's config once; every check runs under the result.
     """
     from repro.api.solver import resolve_solver
     session = resolve_solver(solver)
+    return _eliminate_redundant_joins(
+        query, dependencies, steps, session,
+        session.config.with_legacy_kwargs(**containment_options))
+
+
+def _eliminate_redundant_joins(query: ConjunctiveQuery, dependencies: DependencySet,
+                               steps: Optional[List[RewriteStep]], session,
+                               config) -> ConjunctiveQuery:
+    """Stage 2 on ``session``, every check under the :class:`SolverConfig` ``config``."""
     current = query
     position = 0
     while len(current) > 1 and position < len(current):
@@ -147,8 +159,7 @@ def eliminate_redundant_joins(query: ConjunctiveQuery, dependencies: DependencyS
         except QueryError:
             position += 1
             continue
-        verdict = session.is_contained(reduced, query, dependencies,
-                                       **containment_options)
+        verdict, _ = session._decide(reduced, query, dependencies, config)
         if verdict.certain and verdict.holds:
             if steps is not None:
                 steps.append(RewriteStep(
@@ -173,7 +184,22 @@ def optimize(query: ConjunctiveQuery, dependencies: Optional[DependencySet] = No
 
     ``solver`` is the :class:`~repro.api.solver.Solver` whose caches back
     the join-elimination containment checks; ``None`` uses the process-wide
-    default solver.
+    default solver.  ``containment_options`` are the legacy containment
+    keywords, applied to the solver's config once.
+    """
+    from repro.api.solver import resolve_solver
+    session = resolve_solver(solver)
+    return _optimize(query, dependencies, name, session,
+                     session.config.with_legacy_kwargs(**containment_options))
+
+
+def _optimize(query: ConjunctiveQuery, dependencies: Optional[DependencySet],
+              name: Optional[str], session, config) -> OptimizationReport:
+    """The pipeline on ``session``, join elimination under ``config``.
+
+    :meth:`Solver.solve <repro.api.solver.Solver.solve>` calls this with
+    an :class:`~repro.api.requests.OptimizeRequest`'s own config, so every
+    certification follows the config the response reports.
     """
     sigma = dependencies if dependencies is not None else DependencySet()
     steps: List[RewriteStep] = []
@@ -185,9 +211,7 @@ def optimize(query: ConjunctiveQuery, dependencies: Optional[DependencySet] = No
             steps=steps, unsatisfiable=True,
         )
 
-    eliminated = eliminate_redundant_joins(simplified, sigma, steps,
-                                           solver=solver,
-                                           **containment_options)
+    eliminated = _eliminate_redundant_joins(simplified, sigma, steps, session, config)
 
     before_core = len(eliminated)
     cored = core_minimize(eliminated)

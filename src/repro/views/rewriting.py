@@ -40,7 +40,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from operator import attrgetter
+from typing import Any, ClassVar, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.containment.result import ContainmentResult
 from repro.dependencies.dependency_set import DependencySet
@@ -147,6 +148,22 @@ class RewriteReport:
     candidates_deduped: int = 0
     stage_timings: Dict[str, float] = field(default_factory=dict)
 
+    #: The search's work counters, in report order (the metrics probe
+    #: iterates this); ``certified`` is the number of rewritings.
+    COUNTERS: ClassVar[Tuple[str, ...]] = (
+        "candidates_tried", "certified", "images_found", "views_pruned",
+        "candidates_skipped_unsafe", "candidates_deduped")
+    _read_counts: ClassVar = attrgetter(*COUNTERS)
+
+    def counts(self) -> Tuple[int, ...]:
+        """The values of :attr:`COUNTERS`, in the same order."""
+        return self._read_counts(self)
+
+    @property
+    def certified(self) -> int:
+        """How many candidates certified equivalent (``len(rewritings)``)."""
+        return len(self.rewritings)
+
     @property
     def best(self) -> Optional[Rewriting]:
         """The cheapest certified rewriting, if any."""
@@ -156,7 +173,7 @@ class RewriteReport:
         lines = [
             f"rewriting {self.original.name} over {self.catalog_size} view(s): "
             f"{self.images_found} image(s), {self.candidates_tried} candidate(s), "
-            f"{len(self.rewritings)} certified"
+            f"{self.certified} certified"
         ]
         if self.unsatisfiable:
             lines.append("  query is unsatisfiable under Σ (FD constant clash)")
@@ -442,11 +459,7 @@ def _rewrite_with_views(query: ConjunctiveQuery, catalog: ViewCatalog,
     report = _search(query, catalog, dependencies, session, config, **search)
     probe = _probe.ACTIVE
     if probe is not None:
-        probe.rewrite(report.candidates_tried, len(report.rewritings),
-                      report.images_found,
-                      views_pruned=report.views_pruned,
-                      candidates_skipped_unsafe=report.candidates_skipped_unsafe,
-                      candidates_deduped=report.candidates_deduped)
+        probe.rewrite(report)
     return report
 
 

@@ -210,6 +210,27 @@ class TestSolverContainment:
             config=solver.config.derive(max_conjuncts=1)))
         assert starved.report.conjuncts_removed == 0
 
+    def test_optimize_certifies_under_the_request_config(self, intro, monkeypatch):
+        # The request sets fields the legacy containment keywords cannot
+        # carry (engine, termination certification, level cap); every
+        # join-elimination check must still run under them.
+        decided = []
+        decide = Solver._decide
+
+        def spy_decide(self, query, query_prime, dependencies, config):
+            decided.append(config)
+            return decide(self, query, query_prime, dependencies, config)
+
+        monkeypatch.setattr(Solver, "_decide", spy_decide)
+        request_config = SolverConfig(chase_engine="legacy", certify_termination=False,
+                                      saturation_level_cap=3)
+        response = Solver().solve(OptimizeRequest(
+            intro.q1, intro.dependencies, config=request_config))
+        assert response.report.conjuncts_removed == 1
+        assert decided
+        assert all(config.containment_key() == request_config.containment_key()
+                   for config in decided)
+
     def test_unknown_request_type_rejected(self):
         with pytest.raises(ReproError, match="unknown request type"):
             Solver().solve(object())

@@ -51,6 +51,7 @@ from repro.service import (
     SolverService,
     shard_for,
 )
+from repro.service.protocol import routing_fingerprints
 from repro.workloads import TrafficGenerator
 from repro.workloads.dependency_generator import DependencyGenerator
 from repro.workloads.schema_generator import SchemaGenerator
@@ -212,6 +213,18 @@ class TestAdmissionPolicy:
         assert decision.cost == 100
         assert decision.clamps["max_conjuncts"] == 100
         assert decision.clamps["max_level"] == 2
+
+    def test_coordinator_memos_stay_bounded_over_many_tenants(self):
+        # Clients choose tenants: every distinct (schema, Σ) priced adds a
+        # memo entry, and the memos must evict rather than grow forever.
+        coordinator = FleetCoordinator()
+        for tenant in range(4100):
+            record = {"op": "chase", "schema": f"R{tenant}(a, b)", "deps": "",
+                      "query": f"Q(x) :- R{tenant}(x, y)"}
+            coordinator._decide(record, routing_fingerprints(
+                record, coordinator.defaults, coordinator._parser))
+        assert len(coordinator._estimates) <= 4096
+        assert len(coordinator._atom_counts) <= 4096
 
 
 # ---------------------------------------------------------------------------

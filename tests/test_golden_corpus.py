@@ -42,6 +42,16 @@ CHASE_CASES = {
     "intro_key_based_rchase.json": ("intro_kb_q1", ChaseVariant.RESTRICTED, 3),
 }
 
+#: A chase document's statistics keys, written out so the wire shape is
+#: pinned independently of ``ChaseStatistics.COUNTERS``.
+CHASE_STATISTICS_KEYS = {
+    "fd_steps", "ind_steps", "egd_steps", "tgd_steps",
+    "redundant_ind_applications", "redundant_tgd_applications",
+    "merged_conjuncts", "total_steps", "triggers_examined", "index_hits",
+    "delta_seeded_matches", "trigger_cache_hits", "interned_terms",
+    "union_find_unions", "union_find_finds", "column_probes",
+}
+
 CERTIFICATE_CASES = {
     "intro_certificate.json": "intro",
     "intro_key_based_certificate.json": "intro_kb",
@@ -90,6 +100,7 @@ class TestGoldenChases:
         result = build_engine(query, sigma, config).run()
         replayed = chase_result_to_dict(result, include_trace=True)
         assert normalize_chase(replayed) == normalize_chase(load_golden(name))
+        assert set(replayed["statistics"]) == CHASE_STATISTICS_KEYS
 
 
 class TestGoldenCertificates:

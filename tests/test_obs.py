@@ -10,9 +10,12 @@ to end through a running service.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import re
 import socket
 import time
+from pathlib import Path
 
 import pytest
 
@@ -352,11 +355,18 @@ class TestMetricsProbe:
         from repro.chase.columnar import ColumnarChaseEngine
 
         _, sigma, query, _ = parsed_inputs()
-        ColumnarChaseEngine(query, sigma).run()
+        statistics = ColumnarChaseEngine(query, sigma).run().statistics
         registry = fresh_probe.registry
         assert registry.get("repro_chase_runs_total").value(
             engine="columnar", outcome="saturated") == 1.0
-        assert registry.get("repro_chase_triggers_examined_total").value() > 0
+        work = registry.get("repro_chase_work_total")
+        assert work.value(kind="triggers_examined") > 0
+        # Every counter but the level maximum is declared, and each kind
+        # moved by exactly this run's count.
+        assert set(statistics.COUNTERS) == {
+            field.name for field in dataclasses.fields(statistics)} - {"max_level_reached"}
+        assert [work.value(kind=kind) for kind in statistics.COUNTERS] == list(
+            statistics.counts())
 
     def test_request_metrics_from_the_solver(self, fresh_probe):
         from repro.api.requests import ContainmentRequest
@@ -391,9 +401,28 @@ class TestMetricsProbe:
 
         schema, sigma, _, query_prime = parsed_inputs()
         catalog = parse_views("V(e, d) :- EMP(e, s, d)", schema)
-        Solver().rewrite(query_prime, catalog, sigma)
-        counter = fresh_probe.registry.get("repro_rewrite_candidates_total")
-        assert counter.value() >= 1.0
+        report = Solver().rewrite(query_prime, catalog, sigma)
+        work = fresh_probe.registry.get("repro_rewrite_work_total")
+        assert work.value(kind="candidates_tried") >= 1.0
+        assert work.value(kind="images_found") == report.images_found >= 1
+        assert [work.value(kind=kind) for kind in report.COUNTERS] == list(
+            report.counts())
+
+    def test_metrics_reference_lists_every_family_and_kind(self):
+        from repro.chase.engine import ChaseStatistics
+        from repro.views.rewriting import RewriteReport
+
+        reference = Path(__file__).resolve().parents[1] / "examples" / "METRICS.md"
+        meanings = dict(re.findall(r"^\| `(repro_\w+)` \| \w+ \| [^|]* \| (.*) \|$",
+                                   reference.read_text(encoding="utf-8"), re.MULTILINE))
+        families = set(MetricsProbe(MetricsRegistry()).registry.names())
+        assert len(families) == 8
+        # The slow-op log and the fleet coordinator publish the rest.
+        assert set(meanings) == families | {
+            "repro_slow_ops_total", "repro_fleet_coordinator", "repro_fleet_nodes"}
+        for family, counting in (("repro_chase_work_total", ChaseStatistics),
+                                 ("repro_rewrite_work_total", RewriteReport)):
+            assert re.findall(r"`([a-z_]+)`", meanings[family]) == list(counting.COUNTERS)
 
 
 # ---------------------------------------------------------------------------

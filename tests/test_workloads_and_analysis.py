@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.analysis.reporting import format_table, series_report
+from repro.analysis.reporting import chase_statistics_report, format_table, series_report
 from repro.analysis.statistics import chase_growth_profile, containment_sweep
-from repro.chase.engine import ChaseVariant
+from repro.chase.engine import ChaseStatistics, ChaseVariant
 from repro.containment.decision import is_contained
 from repro.dependencies.dependency_set import DependencyClass
 from repro.dependencies.violations import database_satisfies
@@ -191,3 +191,15 @@ class TestAnalysis:
         assert "T" in table and "| a" in table and "k=1" in table
         series = series_report("growth", [1, 2], [3, 4], "level", "size")
         assert "level" in series and "growth" in series
+
+    def test_chase_statistics_report_has_a_row_per_counter(self):
+        statistics = ChaseStatistics(egd_steps=2, tgd_steps=3,
+                                     redundant_tgd_applications=4)
+        table = chase_statistics_report({"columnar": statistics})
+        rows = [line.split("|")[1:3] for line in table.splitlines()[3:]]
+        counts = {name.strip(): int(value) for name, value in rows}
+        assert list(counts) == [*ChaseStatistics.COUNTERS, "total_steps",
+                                "max_level_reached", "triggers_fired"]
+        assert (counts["egd_steps"], counts["tgd_steps"],
+                counts["redundant_tgd_applications"]) == (2, 3, 4)
+        assert counts["total_steps"] == counts["triggers_fired"] == 9
