@@ -18,6 +18,9 @@ from repro.terms.term import Constant, Term, Variable
 
 Assignment = Dict[Variable, Any]
 
+#: Marks a summary variable not yet pinned; ``None`` is a database value.
+_MISSING = object()
+
 
 def database_target_index(database: Database) -> TargetIndex:
     """Index every row of every relation of the database for the search."""
@@ -86,8 +89,8 @@ def answers_contain(atoms: Sequence[Any], summary_row: Sequence[Term],
             if entry.value != value:
                 return False
             continue
-        existing = required.get(entry)
-        if existing is not None and existing != value:
+        existing = required.get(entry, _MISSING)
+        if existing is not _MISSING and existing != value:
             return False
         required[entry] = value
     return find_database_homomorphism(atoms, database, required=required) is not None

@@ -3,75 +3,51 @@
 The search maps source atoms onto target facts one atom at a time,
 maintaining a partial variable assignment.  At every step it picks the
 *most constrained* unmapped atom — the one with the fewest candidate
-target facts given the bindings made so far — which is the classic
-fail-first heuristic and makes the (NP-hard in general) search fast on the
-structured instances produced by chases and benchmarks.
+target facts given the bindings made so far, ties going to the atom
+listed first — which is the classic fail-first heuristic and makes the
+(NP-hard in general) search fast on the structured instances produced by
+chases and benchmarks.
 
-Candidate sets are computed once per atom — seeded from the target's
-per-column indexes using the atom's constants and any pre-bound
-variables — and then *narrowed* monotonically as variables become bound
+Each search compiles its problem once.  Source variables get dense ids,
+each atom's variable positions are listed once, and the assignment is a
+list indexed by variable id plus a trail of the bindings made on the
+current path.  Candidate sets are seeded once per atom from the target's
+per-column indexes, using the atom's constants and the required
+bindings, and then *narrowed* monotonically as variables become bound
 (forward checking): binding a variable filters only the candidate lists
-of the unmapped atoms that mention it, and a branch is abandoned as soon
-as any unmapped atom has no candidates left.  The seed implementation
-recomputed every atom's candidates from scratch at every node of the
-search tree; the narrowing strategy visits the same nodes in the same
-order but does strictly less work per node.
+of the unmapped atoms that mention it, comparing just the positions of
+the variables just bound, and a branch is abandoned as soon as any list
+runs dry.
+
+Only choices that bind something branch.  An atom whose variables are
+all bound — at the root by the required bindings, or later by the
+search — and whose candidate list is not empty is satisfied and leaves
+the search.  Mapping it would bind nothing, and would repeat the rest of
+the search once per matching duplicate fact.  Compared with mapping
+every atom in turn, the search therefore visits fewer nodes but yields
+the same sequence of solutions: a satisfied atom never changes which
+atom is chosen next or what it binds, and a repeated subtree yields
+nothing new.
 
 Solutions are reported as plain ``dict`` objects mapping source variables
-to target entries.  Constants are never included in the mapping; they are
-checked against the target facts during matching.
+to target entries: the required bindings first, then the bindings of the
+search path in the order they were made (within one atom, in the order
+its variables first occur).  Constants are never included in the
+mapping; they are checked against the target facts during matching.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.homomorphism.problem import HomomorphismProblem, TargetIndex, constant_matches
+from repro.homomorphism.problem import HomomorphismProblem, TargetIndex
 from repro.obs import probe as _probe
 from repro.obs.tracing import maybe_span
 from repro.terms.term import Constant, Variable
 
 Assignment = Dict[Variable, Any]
-
-
-def _initial_candidates(atom: Any, target: TargetIndex,
-                        assignment: Assignment) -> List[Tuple[Any, ...]]:
-    """Candidate target facts for one atom under the initial assignment.
-
-    Pins both the atom's constant positions and its already-bound
-    variables, so the per-column indexes narrow the fact list before any
-    per-fact matching happens.
-    """
-    pins = []
-    for position, term in enumerate(atom.terms):
-        if isinstance(term, Constant):
-            pins.append((position, term))
-        elif isinstance(term, Variable) and term in assignment:
-            pins.append((position, assignment[term]))
-    candidates = target.candidates(atom.relation, pins)
-    return [fact for fact in candidates if _matches(atom, fact, assignment) is not None]
-
-
-def _matches(atom: Any, fact: Sequence[Any], assignment: Assignment) -> Optional[Assignment]:
-    """Try to map ``atom`` onto ``fact`` consistently with ``assignment``.
-
-    Returns the new bindings introduced (possibly empty) or ``None`` if the
-    atom cannot be mapped onto the fact.
-    """
-    if len(atom.terms) != len(fact):
-        return None
-    new_bindings: Assignment = {}
-    for term, target_entry in zip(atom.terms, fact):
-        if isinstance(term, Constant):
-            if not constant_matches(term, target_entry):
-                return None
-            continue
-        bound = assignment.get(term, new_bindings.get(term, _UNBOUND))
-        if bound is _UNBOUND:
-            new_bindings[term] = target_entry
-        elif bound != target_entry:
-            return None
-    return new_bindings
+#: ``(position, variable id)`` pairs: where variables occur in one atom.
+Slots = List[Tuple[int, int]]
 
 
 class _Unbound:
@@ -79,6 +55,62 @@ class _Unbound:
 
 
 _UNBOUND = _Unbound()
+
+
+def _initial_candidates(atom: Any, slots: Slots, target: TargetIndex,
+                        values: List[Any]) -> List[Tuple[Any, ...]]:
+    """Candidate target facts for one atom under the required bindings.
+
+    Pins both the atom's constant positions and its already-bound
+    variables, so the per-column indexes narrow the fact list before any
+    per-fact matching happens.  The index has matched the constants; a
+    fact must still have the atom's arity, hold each bound variable's
+    value, and repeat the entry of a variable the atom mentions twice.
+    """
+    variable_at = dict(slots)
+    pins = []
+    bound = []
+    repeats = []
+    first: Dict[int, int] = {}
+    for position, term in enumerate(atom.terms):
+        if isinstance(term, Constant):
+            pins.append((position, term))
+            continue
+        variable = variable_at[position]
+        value = values[variable]
+        if value is not _UNBOUND:
+            pins.append((position, value))
+            bound.append((position, value))
+        elif variable in first:
+            repeats.append((first[variable], position))
+        else:
+            first[variable] = position
+    arity = len(atom.terms)
+    facts = target.candidates(atom.relation, pins)
+    if not bound and not repeats:
+        return [fact for fact in facts if len(fact) == arity]
+    return [
+        fact for fact in facts
+        if len(fact) == arity
+        and not any(value != fact[position] for position, value in bound)
+        and not any(fact[earlier] != fact[position] for earlier, position in repeats)
+    ]
+
+
+def _narrow(facts: List[Tuple[Any, ...]], checks: Slots,
+            values: List[Any]) -> List[Tuple[Any, ...]]:
+    """The facts that hold the values just bound at the ``checks`` slots.
+
+    Values are compared with ``!=``, as in every match of the search, so
+    a raw NaN entry holds no value, not even the same NaN object.
+    """
+    if len(checks) == 1:
+        position, variable = checks[0]
+        value = values[variable]
+        return [fact for fact in facts if not value != fact[position]]
+    pinned = [(position, values[variable]) for position, variable in checks]
+    return [fact for fact in facts
+            if not any(value != fact[position] for position, value in pinned)]
 
 
 def iter_homomorphisms(problem: HomomorphismProblem) -> Iterator[Assignment]:
@@ -112,60 +144,93 @@ def _iter_counted(probe, problem: HomomorphismProblem) -> Iterator[Assignment]:
 def _iter_homomorphisms(problem: HomomorphismProblem) -> Iterator[Assignment]:
     if problem.is_trivially_unsatisfiable():
         return
-    atoms = list(problem.source_atoms)
-    atom_variables = [
-        frozenset(term for term in atom.terms if isinstance(term, Variable))
+    atoms = problem.source_atoms
+    required = problem.required
+    ids: Dict[Any, int] = {}
+    slots: List[Slots] = [
+        [(position, ids.setdefault(term, len(ids)))
+         for position, term in enumerate(atom.terms)
+         if not isinstance(term, Constant)]
         for atom in atoms
     ]
+    values: List[Any] = [_UNBOUND] * len(ids)
+    for variable, value in required.items():
+        if variable in ids:
+            values[ids[variable]] = value
+    candidates = [_initial_candidates(atom, atom_slots, problem.target, values)
+                  for atom, atom_slots in zip(atoms, slots)]
+    if not all(candidates):
+        return
+    # occurrences[id]: the (atom, position) slots of one variable.
+    occurrences: List[Slots] = [[] for _ in ids]
+    for index, atom_slots in enumerate(slots):
+        for position, variable in atom_slots:
+            occurrences[variable].append((index, position))
+    # (term, variable id) for each binding on the current path, in order.
+    trail: List[Tuple[Any, int]] = []
     seen: set = set()
-    initial: Assignment = dict(problem.required)
-    candidates: Dict[int, List[Tuple[Any, ...]]] = {
-        index: _initial_candidates(atom, problem.target, initial)
-        for index, atom in enumerate(atoms)
-    }
 
-    def backtrack(remaining: List[int], assignment: Assignment,
-                  candidates: Dict[int, List[Tuple[Any, ...]]]) -> Iterator[Assignment]:
+    def backtrack(remaining: List[int]) -> Iterator[Assignment]:
         if not remaining:
-            frozen = frozenset(assignment.items())
-            if frozen not in seen:
-                seen.add(frozen)
-                yield dict(assignment)
+            key = tuple(values)
+            if key not in seen:
+                seen.add(key)
+                solution = dict(required)
+                for term, variable in trail:
+                    solution[term] = values[variable]
+                yield solution
             return
-        # Most-constrained-atom ordering (fail-first heuristic).
-        chosen = min(remaining, key=lambda index: (len(candidates[index]), index))
-        if not candidates[chosen]:
-            return
-        rest = [index for index in remaining if index != chosen]
-        atom = atoms[chosen]
+        # Most-constrained-atom ordering (fail-first heuristic); ``index``
+        # finds the first of equals and ``remaining`` is ascending.
+        sizes = [len(candidates[index]) for index in remaining]
+        chosen = remaining[sizes.index(min(sizes))]
+        terms = atoms[chosen].terms
+        # The chosen atom's unbound variables, each at its first position.
+        fresh: Dict[int, int] = {}
+        for position, variable in slots[chosen]:
+            if values[variable] is _UNBOUND and variable not in fresh:
+                fresh[variable] = position
+        # Forward-checking plan, the same for every fact of the chosen
+        # atom: the slots of the fresh variables in each other unmapped
+        # atom, and whether that atom is then satisfied.
+        live = set(remaining)
+        live.discard(chosen)
+        checks: Dict[int, Slots] = {}
+        for variable in fresh:
+            for index, position in occurrences[variable]:
+                if index in live:
+                    checks.setdefault(index, []).append((position, variable))
+        plan = []
+        for index, atom_checks in checks.items():
+            satisfied = all(values[variable] is not _UNBOUND or variable in fresh
+                            for _, variable in slots[index])
+            if satisfied:
+                live.discard(index)
+            plan.append((index, atom_checks, satisfied))
+        rest = [index for index in remaining if index in live]
+        trail.extend((terms[position], variable) for variable, position in fresh.items())
         for fact in candidates[chosen]:
-            new_bindings = _matches(atom, fact, assignment)
-            if new_bindings is None:
-                continue
-            assignment.update(new_bindings)
-            # Forward checking: narrow only the unmapped atoms that mention
-            # a newly bound variable; fail fast when one runs dry.
-            narrowed = candidates
-            viable = True
-            if new_bindings:
-                bound = new_bindings.keys()
-                narrowed = dict(candidates)
-                for index in rest:
-                    if atom_variables[index].isdisjoint(bound):
-                        continue
-                    narrowed[index] = [
-                        candidate for candidate in candidates[index]
-                        if _matches(atoms[index], candidate, assignment) is not None
-                    ]
-                    if not narrowed[index]:
-                        viable = False
-                        break
-            if viable:
-                yield from backtrack(rest, assignment, narrowed)
-            for variable in new_bindings:
-                del assignment[variable]
+            for variable, position in fresh.items():
+                values[variable] = fact[position]
+            saved = []
+            for index, atom_checks, satisfied in plan:
+                narrowed = _narrow(candidates[index], atom_checks, values)
+                if not narrowed:
+                    break
+                if not satisfied:
+                    saved.append((index, candidates[index]))
+                    candidates[index] = narrowed
+            else:
+                yield from backtrack(rest)
+            for index, previous in saved:
+                candidates[index] = previous
+        for variable in fresh:
+            values[variable] = _UNBOUND
+        del trail[-len(fresh):]
 
-    yield from backtrack(list(range(len(atoms))), initial, candidates)
+    yield from backtrack([index for index, atom_slots in enumerate(slots)
+                          if any(values[variable] is _UNBOUND
+                                 for _, variable in atom_slots)])
 
 
 def find_homomorphism(problem: HomomorphismProblem) -> Optional[Assignment]:
@@ -188,6 +253,8 @@ def has_homomorphism(problem: HomomorphismProblem) -> bool:
 
 def count_homomorphisms(problem: HomomorphismProblem, limit: Optional[int] = None) -> int:
     """Count homomorphisms (up to ``limit`` if given)."""
+    if limit is not None and limit <= 0:
+        return 0
     count = 0
     for _ in iter_homomorphisms(problem):
         count += 1

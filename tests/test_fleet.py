@@ -11,7 +11,6 @@ fairness of ``shard_for``, and multi-stream traffic determinism.
 from __future__ import annotations
 
 import contextlib
-import json
 import time
 from types import SimpleNamespace
 

@@ -1,6 +1,11 @@
 """Unit tests for the homomorphism engine (generic search and wrappers)."""
 
+import itertools
+import random
 
+import pytest
+
+from repro import Database, DatabaseSchema
 from repro.homomorphism.problem import HomomorphismProblem, TargetIndex, constant_matches
 from repro.homomorphism.search import (
     count_homomorphisms,
@@ -21,8 +26,10 @@ from repro.homomorphism.database_homomorphism import (
     evaluate_atoms,
     find_database_homomorphism,
 )
+from repro.parser import parse_query
 from repro.queries.builder import QueryBuilder
 from repro.queries.conjunct import Conjunct
+from repro.queries.evaluation import answer_contains, evaluate
 from repro.terms.term import Constant, DistinguishedVariable, NonDistinguishedVariable
 
 
@@ -88,6 +95,7 @@ class TestGenericSearch:
         problem = HomomorphismProblem(atoms, index)
         assert count_homomorphisms(problem) == 2
         assert count_homomorphisms(problem, limit=1) == 1
+        assert count_homomorphisms(problem, limit=0) == 0
         solutions = list(iter_homomorphisms(problem))
         assert {frozenset(s.items()) for s in solutions} == {
             frozenset({(X, 1), (Y, 2)}), frozenset({(X, 3), (Y, 4)}),
@@ -203,6 +211,36 @@ class TestDatabaseHomomorphism:
                                emp_dep_database, ("e3",))
         assert not answers_contain(intro.q1.conjuncts, intro.q1.summary_row,
                                    emp_dep_database, ("e3",))
+
+    def test_answers_contain_treats_none_as_a_value(self):
+        schema = DatabaseSchema.from_dict({"R": ["a", "b"]})
+        query = parse_query("Q(x, x) :- R(x, y)", schema)
+        database = Database(schema, {"R": [("k", "m")]})
+        assert evaluate(query, database) == {("k", "k")}
+        assert not answer_contains(query, database, (None, "k"))
+        assert not answer_contains(query, database, ("k", None))
+        assert answer_contains(query, database, ("k", "k"))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_answers_contain_agrees_with_evaluation_over_none(self, seed):
+        schema = DatabaseSchema.from_dict({"R": ["a", "b"], "S": ["b", "c"]})
+        queries = [parse_query(text, schema) for text in (
+            "Q(x, x) :- R(x, y)",
+            "Q(x, y, x) :- R(x, y), S(y, z)",
+            "Q(y, x, y) :- R(x, y), S(y, x)",
+            "Q(x, 'k') :- R(x, y), S(y, y)",
+        )]
+        rng = random.Random(seed)
+        domain = (None, "k", "m")
+        for _ in range(5):
+            database = Database(schema, {
+                name: {(rng.choice(domain), rng.choice(domain))
+                       for _ in range(rng.randint(0, 5))}
+                for name in ("R", "S")})
+            for query in queries:
+                answers = evaluate(query, database)
+                for row in itertools.product(domain, repeat=len(query.summary_row)):
+                    assert answer_contains(query, database, row) == (row in answers)
 
     def test_find_database_homomorphism_with_required(self, intro, emp_dep_database):
         e = next(iter(intro.q2.distinguished_variables()))

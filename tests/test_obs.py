@@ -23,9 +23,6 @@ from repro import obs
 from repro.obs import probe as probe_module
 from repro.obs.clock import Stopwatch, monotonic, wall_time
 from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
     MetricError,
     MetricsRegistry,
 )
@@ -44,7 +41,6 @@ from repro.obs.tracing import (
 from repro.parser import parse_dependencies, parse_query, parse_schema
 from repro.service import (
     ServiceClient,
-    ServiceClientError,
     ServiceDefaults,
     ShardedSolverPool,
     SolverService,
