@@ -1,6 +1,7 @@
 """The :class:`Solver` facade — one session object for every procedure.
 
-A Solver owns a :class:`SolverConfig` and two cross-call LRU caches:
+A Solver owns a :class:`SolverConfig` and three cross-call LRU caches of
+answers, each optionally backed by a :class:`PersistentCache`:
 
 * a **containment cache** keyed on the canonical fingerprints of
   (Q, Q', Σ) plus the config fields that can change the answer, so a
@@ -10,7 +11,13 @@ A Solver owns a :class:`SolverConfig` and two cross-call LRU caches:
 * a **chase cache** keyed on (query, Σ, chase budgets), shared between
   stand-alone chase requests and the bounded-chase containment procedure,
   so deciding many ``Q ⊆ Q'_k`` questions against one Q re-uses each chase
-  prefix instead of rebuilding it per question.
+  prefix instead of rebuilding it per question;
+* a **rewrite cache** keyed on (query, catalog, Σ) plus the config fields
+  that shape the view search.
+
+Structures derived from the inputs themselves (fingerprints, compiled
+dependency plans, a catalog's extended schema and signature index) live
+on those inputs, not here.
 
 Work is submitted either through the typed request objects
 (:meth:`Solver.solve`, :meth:`Solver.solve_many`,
@@ -24,7 +31,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.cache import CacheInfo, LRUCache
 from repro.api.config import SolverConfig
@@ -69,14 +76,8 @@ from repro.optimizer.pipeline import OptimizationReport, _optimize
 from repro.optimizer.pipeline import optimize as pipeline_optimize
 from repro.queries.conjunctive_query import ConjunctiveQuery
 from repro.views.cost import CostModel
-from repro.views.index import CatalogIndex, build_catalog_index
-from repro.views.registry import resolve_rewriter_name
-from repro.views.rewriting import RewriteReport, _rewrite_with_views
+from repro.views.rewriting import RewriteReport, _search
 from repro.views.view import ViewCatalog
-
-#: Catalog indexes kept per solver (keyed by catalog fingerprint); small
-#: because one index serves every query and strategy over that catalog.
-_CATALOG_INDEX_CACHE_SIZE = 32
 
 
 @dataclass
@@ -132,10 +133,6 @@ class Solver:
         self._persistent_hits = 0
         self._persistent_misses = 0
         self._persistent_writes = 0
-        # Catalog signature indexes, keyed by catalog fingerprint — a
-        # derived structure, not an answer cache, so it stays out of
-        # cache_info()/cache_stats() (tests pin that key set).
-        self._catalog_indexes = LRUCache(_CATALOG_INDEX_CACHE_SIZE)
         self.stats = SolverStats()
 
     @property
@@ -256,54 +253,65 @@ class Solver:
         hits, fresh = self._cache_marker()
         return hits > marker[0] and fresh == marker[1]
 
-    def _through_persistent(self, namespace: str, key, compute):
-        """Disk-store fallback behind an LRU miss: probe, else compute and store."""
+    def _answer(self, cache: LRUCache, namespace: str,
+                key_of: Callable[[], Tuple], compute: Callable[[], Any],
+                cacheable: bool = True) -> Tuple[Any, bool]:
+        """One answer: the LRU, then the persistent tier, then ``compute``.
+
+        Returns the answer and whether a cache tier held it; a computed
+        answer is stored in both tiers.  An answer that is not
+        ``cacheable``, or one with neither tier to keep it (an LRU of
+        size 0 and no persistent store), is computed without calling
+        ``key_of``, so nothing is fingerprinted.
+        """
+        if not cacheable or (cache.maxsize == 0 and self._persistent is None):
+            return compute(), False
+        key = key_of()
+        with maybe_span("cache.lookup", cache=namespace) as span:
+            value = cache.get(key)
+            if span is not None:
+                span.tags["hit"] = value is not None
+        if value is not None:
+            return value, True
         if self._persistent is not None:
             value = self._persistent.get(namespace, key)
-            if value is not None:
-                with self._persistent_lock:
+            with self._persistent_lock:
+                if value is not None:
                     self._persistent_hits += 1
-                return value, True
-            with self._persistent_lock:
-                self._persistent_misses += 1
-        value = compute()
-        if self._persistent is not None:
-            self._persistent.put(namespace, key, value)
-            with self._persistent_lock:
-                self._persistent_writes += 1
-        return value, False
+                else:
+                    self._persistent_misses += 1
+        hit = value is not None
+        if not hit:
+            value = compute()
+            if self._persistent is not None:
+                self._persistent.put(namespace, key, value)
+                with self._persistent_lock:
+                    self._persistent_writes += 1
+        cache.put(key, value)
+        return value, hit
 
     def _cached_chase(self, query: ConjunctiveQuery,
                       dependencies: DependencySet,
                       config: ChaseConfig) -> Tuple[ChaseResult, bool]:
-        if self._chase_cache.maxsize == 0 and self._persistent is None:
-            return build_engine(query, dependencies, config).run(), False
         # The display name rides along because ChaseResult.query (and the
         # reports derived from it) surface it; content fingerprints alone
         # would conflate equal queries with different names.  The resolved
         # engine name is part of the key so legacy and columnar runs of the
         # differential harness never share a result.
-        key = (
-            query.name,
-            query_fingerprint(query),
-            dependency_fingerprint(dependencies),
-            config.variant,
-            config.max_level,
-            config.max_conjuncts,
-            config.max_steps,
-            config.record_trace,
-            resolve_engine_name(config.engine),
-        )
-        with maybe_span("cache.lookup", cache="chase") as span:
-            cached = self._chase_cache.get(key)
-            if span is not None:
-                span.tags["hit"] = cached is not None
-        if cached is not None:
-            return cached, True
-        result, from_disk = self._through_persistent(
-            "chase", key, lambda: build_engine(query, dependencies, config).run())
-        self._chase_cache.put(key, result)
-        return result, from_disk
+        return self._answer(
+            self._chase_cache, "chase",
+            lambda: (
+                query.name,
+                query_fingerprint(query),
+                dependency_fingerprint(dependencies),
+                config.variant,
+                config.max_level,
+                config.max_conjuncts,
+                config.max_steps,
+                config.record_trace,
+                resolve_engine_name(config.engine),
+            ),
+            lambda: build_engine(query, dependencies, config).run())
 
     def _chase_fn(self, query: ConjunctiveQuery, dependencies: DependencySet,
                   config: ChaseConfig) -> ChaseResult:
@@ -333,26 +341,6 @@ class Solver:
                 config: SolverConfig) -> Tuple[ContainmentResult, bool]:
         self.stats.count("containment_requests")
         sigma = dependencies if dependencies is not None else DependencySet()
-        # Results carrying certificates are never cached: certificates are
-        # standalone artifacts a caller may legitimately mutate (tampering
-        # experiments, redaction before shipping), so sharing one object
-        # across calls would let one caller corrupt another's proof.
-        cacheable = (not config.with_certificate
-                     and (self._containment_cache.maxsize > 0
-                          or self._persistent is not None))
-        key = (
-            (query.name, query_fingerprint(query)),
-            (query_prime.name, query_fingerprint(query_prime)),
-            dependency_fingerprint(sigma),
-            config.containment_key(),
-        ) if cacheable else None
-        if cacheable:
-            with maybe_span("cache.lookup", cache="containment") as span:
-                cached = self._containment_cache.get(key)
-                if span is not None:
-                    span.tags["hit"] = cached is not None
-            if cached is not None:
-                return cached, True
 
         def compute() -> ContainmentResult:
             classification = sigma.classify(query.input_schema)
@@ -394,11 +382,19 @@ class Solver:
                 saturation_level_cap=config.saturation_level_cap,
             )
 
-        if not cacheable:
-            return compute(), False
-        result, from_disk = self._through_persistent("containment", key, compute)
-        self._containment_cache.put(key, result)
-        return result, from_disk
+        # Results carrying certificates are never cached: certificates are
+        # standalone artifacts a caller may legitimately mutate (tampering
+        # experiments, redaction before shipping), so sharing one object
+        # across calls would let one caller corrupt another's proof.
+        return self._answer(
+            self._containment_cache, "containment",
+            lambda: (
+                (query.name, query_fingerprint(query)),
+                (query_prime.name, query_fingerprint(query_prime)),
+                dependency_fingerprint(sigma),
+                config.containment_key(),
+            ),
+            compute, cacheable=not config.with_certificate)
 
     # -- chase ---------------------------------------------------------------
 
@@ -438,23 +434,6 @@ class Solver:
 
     # -- view rewriting ------------------------------------------------------
 
-    def catalog_index_for(self, catalog: ViewCatalog,
-                          fingerprint: Optional[str] = None) -> CatalogIndex:
-        """The catalog's signature index, built once per fingerprint.
-
-        Index-using rewrite strategies (``"bucketed"``) probe this to
-        prune views before any homomorphism search; sharing it across
-        calls means a thousand-view catalog is indexed once, not once
-        per query.
-        """
-        key = fingerprint if fingerprint is not None else catalog_fingerprint(catalog)
-        cached = self._catalog_indexes.get(key)
-        if cached is not None:
-            return cached
-        index = build_catalog_index(catalog)
-        self._catalog_indexes.put(key, index)
-        return index
-
     def rewrite(self, query: ConjunctiveQuery, catalog: ViewCatalog,
                 dependencies: Optional[DependencySet] = None,
                 cost_model: Optional[CostModel] = None,
@@ -478,54 +457,30 @@ class Solver:
                         config: SolverConfig) -> Tuple[RewriteReport, bool]:
         self.stats.count("rewrite_requests")
         sigma = dependencies if dependencies is not None else DependencySet()
+
+        def compute() -> RewriteReport:
+            # The search and its certification run under the config the
+            # cache key reflects, even when it differs from this solver's
+            # session config.
+            with maybe_span("rewrite.search"):
+                return _search(query, catalog, sigma, self, config,
+                               cost_model=cost_model)
+
         # Mirrors _decide: certificate-bearing results are never cached
         # (the report's rewritings embed both directions' containment
         # results, and certificates are standalone artifacts a caller may
         # legitimately mutate).  Cached reports are shared objects —
         # treat them as immutable, like cached ChaseResults.
-        cacheable = (cost_model is None
-                     and not config.with_certificate
-                     and (self._rewrite_cache.maxsize > 0
-                          or self._persistent is not None))
-        key = (
-            (query.name, query_fingerprint(query)),
-            catalog_fingerprint(catalog),
-            dependency_fingerprint(sigma),
-            config.rewrite_key(),
-        ) if cacheable else None
-        if cacheable:
-            cached = self._rewrite_cache.get(key)
-            if cached is not None:
-                return cached, True
-
-        # The signature index is a derived structure shared across every
-        # query against this catalog; the exhaustive strategy never
-        # probes it, so only index-using strategies pay the (cached)
-        # build.
-        strategy = resolve_rewriter_name(config.rewrite_strategy)
-        catalog_index = (
-            self.catalog_index_for(catalog, key[1] if cacheable else None)
-            if strategy != "exhaustive" else None)
-
-        def compute() -> RewriteReport:
-            # Certification runs under the config the cache key reflects,
-            # even when it differs from this solver's session config.
-            with maybe_span("rewrite.search"):
-                return _rewrite_with_views(
-                    query, catalog, sigma, self, config,
-                    cost_model=cost_model,
-                    max_images=config.rewrite_max_images,
-                    max_combination_size=config.rewrite_max_combination_size,
-                    max_candidates=config.rewrite_max_candidates,
-                    chase_level=config.rewrite_chase_level,
-                    strategy=strategy,
-                    catalog_index=catalog_index)
-
-        if not cacheable:
-            return compute(), False
-        report, from_disk = self._through_persistent("rewrite", key, compute)
-        self._rewrite_cache.put(key, report)
-        return report, from_disk
+        return self._answer(
+            self._rewrite_cache, "rewrite",
+            lambda: (
+                (query.name, query_fingerprint(query)),
+                catalog_fingerprint(catalog),
+                dependency_fingerprint(sigma),
+                config.rewrite_key(),
+            ),
+            compute,
+            cacheable=cost_model is None and not config.with_certificate)
 
     # -- the request/response surface ----------------------------------------
 

@@ -797,8 +797,7 @@ def _command_obs(options: argparse.Namespace, solver: Solver) -> int:
                   f"up {result['uptime_s']:.0f}s")
             print(f"probe: {result['probe'] or 'none'}; "
                   f"metric families: {result['metrics_families']}")
-            print(f"tracer: enabled={tracer.get('enabled')} "
-                  f"traces_stored={tracer.get('traces_stored')} "
+            print(f"tracer: traces_stored={tracer.get('traces_stored')} "
                   f"slow_op_threshold_s={tracer.get('slow_op_threshold_s')}")
             profiler = result.get("profiler", {})
             print(f"profiler: running={profiler.get('running')} "

@@ -60,7 +60,7 @@ from repro.fleet.capacity import (
     TenantQuota,
 )
 from repro.obs.metrics import get_registry
-from repro.obs.tracing import get_tracer, maybe_span, new_trace_id
+from repro.obs.tracing import Span, get_tracer, maybe_span, new_trace_id
 from repro.parser.query_parser import parse_query
 from repro.service.protocol import (
     ADMIN,
@@ -500,8 +500,6 @@ class FleetCoordinator(LineServer):
         coordinator's routing phases *and* the node's engine phases.
         """
         tracer = get_tracer()
-        if not tracer.enabled:
-            return await self._forward_inner(record, None)
         context = record.get("trace_context")
         adopted = (isinstance(context, dict)
                    and isinstance(context.get("id"), str))
@@ -521,7 +519,7 @@ class FleetCoordinator(LineServer):
         return envelope
 
     async def _forward_inner(self, record: Dict[str, Any],
-                             root) -> Dict[str, Any]:
+                             root: Span) -> Dict[str, Any]:
         # Route and price a rewrite-by-fingerprint as the registered
         # catalog's tenant, but forward the slim record: the node
         # resolves the fingerprint from its own (broadcast) store, so the
@@ -556,12 +554,11 @@ class FleetCoordinator(LineServer):
                                   "the fleet has no registered nodes")
         start = shard_for(schema_fp, deps_fp, slot_count)
         outgoing = dict(record, **decision.clamps)
-        if root is not None:
-            # The node adopts the same trace id, parents its root span
-            # under this forward, and returns its spans for absorption.
-            outgoing["trace_context"] = {"id": root.trace_id,
-                                         "parent": root.span_id,
-                                         "collect": True}
+        # The node adopts the same trace id, parents its root span under
+        # this forward, and returns its spans for absorption.
+        outgoing["trace_context"] = {"id": root.trace_id,
+                                     "parent": root.span_id,
+                                     "collect": True}
         for probe in range(slot_count):
             handle = self.ring[(start + probe) % slot_count]
             if not handle.alive:
@@ -598,11 +595,10 @@ class FleetCoordinator(LineServer):
             self.counters["admitted_certified" if decision.certified
                           else "admitted_clamped"] += 1
             envelope["node"] = handle.name
-            if root is not None:
-                root.tags["node"] = handle.name
-                spans = envelope.pop("spans", None)
-                if spans:
-                    get_tracer().absorb(root.trace_id, spans)
+            root.tags["node"] = handle.name
+            spans = envelope.pop("spans", None)
+            if spans:
+                get_tracer().absorb(root.trace_id, spans)
             return envelope
         return error_envelope(identifier, "capacity",
                               "the fleet has no alive nodes to serve this tenant")

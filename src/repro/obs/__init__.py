@@ -104,7 +104,6 @@ def health() -> Dict[str, Any]:
         "uptime_s": round(monotonic() - _STARTED_MONO, 3),
         "probe": type(_probe.ACTIVE).__name__ if _probe.ACTIVE else None,
         "tracer": {
-            "enabled": tracer.enabled,
             "traces_stored": len(tracer.store),
             "slow_op_threshold_s": tracer.slow_log.threshold_s,
             "max_spans_per_trace": tracer.max_spans_per_trace,

@@ -347,7 +347,6 @@ class Tracer:
     def __init__(self, max_spans_per_trace: int = 512,
                  store: Optional[TraceStore] = None,
                  slow_log: Optional[SlowOpLog] = None):
-        self.enabled = True
         self.max_spans_per_trace = max_spans_per_trace
         self.store = store if store is not None else TraceStore()
         self.slow_log = slow_log if slow_log is not None else SlowOpLog()

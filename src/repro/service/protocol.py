@@ -287,7 +287,8 @@ class CatalogStore:
     thread submits, while shard threads never see it at all.
 
     Registration is idempotent — re-putting identical views text lands
-    on the same fingerprint and simply refreshes the entry.
+    on the same fingerprint and simply refreshes the entry, which then
+    counts as the newest for eviction.
     """
 
     def __init__(self, max_entries: int = 256):
@@ -318,7 +319,7 @@ class CatalogStore:
             "schema_text": schema_text,
         }
         with self._lock:
-            replaced = fingerprint in self._entries
+            replaced = self._entries.pop(fingerprint, None) is not None
             self._entries[fingerprint] = entry
             if len(self._entries) > self._max_entries:
                 # Same bounding policy as TenantParser: drop the oldest
@@ -731,8 +732,7 @@ def handle_record(record: Dict[str, Any], solver: Solver,
     """
     context = record.get("trace_context")
     tracer = get_tracer()
-    if (tracer.enabled and isinstance(context, dict)
-            and isinstance(context.get("id"), str)):
+    if isinstance(context, dict) and isinstance(context.get("id"), str):
         op = record.get("op", "contain")
         parent = context.get("parent")
         with tracer.start_trace(

@@ -224,8 +224,7 @@ class SolverService(LineServer):
                     record.get("id"), "overloaded",
                     f"service has {self._in_flight} requests in flight "
                     f"(limit {self._max_pending}); retry later")
-            if (op.family == "data" and record.get("trace_context") is None
-                    and get_tracer().enabled):
+            if op.family == "data" and record.get("trace_context") is None:
                 # An untraced data-plane request still gets a server-minted
                 # trace, so obs.trace / the slow-op log cover all traffic.
                 record["trace_context"] = {"id": new_trace_id()}

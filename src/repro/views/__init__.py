@@ -20,8 +20,8 @@ use **materialized views** under FDs and INDs, via chase & backchase.
   then fewest base-relation accesses).
 
 The session-level entry point is :meth:`repro.api.Solver.rewrite`, which
-adds cross-call caching keyed on (query, catalog, Σ) fingerprints and
-shares one :class:`CatalogIndex` per catalog fingerprint.
+adds cross-call caching keyed on (query, catalog, Σ) fingerprints; the
+catalog itself memoises its :class:`CatalogIndex`.
 """
 
 from repro.views.buckets import (

@@ -8,7 +8,7 @@ of LAV views over a wide schema, most views fail that test for any given
 query — and the exhaustive strategy still pays a homomorphism search per
 view to find out.
 
-:class:`CatalogIndex` precomputes, once per catalog:
+:class:`CatalogIndex` holds, for one catalog:
 
 * per view, its **requirement signature** — the set of ``relation/arity``
   keys its body needs, plus its ``(relation, position, constant)``
@@ -25,20 +25,25 @@ Probing happens against the *chased* atoms, so EGD/FD-implied equalities
 from Σ are already applied (key-merged constants are visible at their
 merged positions) and coverage a raw-query index would miss is kept.
 
-Indexes are built once per catalog fingerprint and shared through the
-solver's rewrite plumbing (:meth:`repro.api.solver.Solver` keeps a small
-fingerprint-keyed cache).
+Each part lives on the object it is derived from.  A view memoises its
+own signature (:func:`view_signature`), so catalog versions that share a
+view share its signature; a catalog memoises its index
+(:meth:`repro.views.view.ViewCatalog.index`) until its next ``add``, so
+every rewrite over one catalog version, from any solver, probes one
+index.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from repro.queries.conjunct import Conjunct
 from repro.terms.term import Constant
-from repro.views.view import ViewCatalog
 
-__all__ = ["CatalogIndex", "build_catalog_index"]
+if TYPE_CHECKING:
+    from repro.views.view import View, ViewCatalog
+
+__all__ = ["CatalogIndex", "build_catalog_index", "view_signature"]
 
 #: A relation requirement: ``"REL/arity"`` — arity rides along so a view
 #: over a same-named relation of different shape can never survive.
@@ -46,6 +51,9 @@ RelationKey = str
 
 #: A constant pin: (relation key, position, constant type, constant repr).
 ConstantKey = Tuple[str, int, str, str]
+
+#: A view's requirement signature: its relation keys and constant pins.
+Signature = Tuple[FrozenSet[RelationKey], Tuple[ConstantKey, ...]]
 
 
 def _relation_key(relation: str, arity: int) -> RelationKey:
@@ -106,14 +114,13 @@ class CatalogIndex:
         }
 
 
-def build_catalog_index(catalog: ViewCatalog) -> CatalogIndex:
-    """Index every view body's relation/arity/constant signature."""
-    required: Dict[str, FrozenSet[RelationKey]] = {}
-    constants: Dict[str, Tuple[ConstantKey, ...]] = {}
-    postings: Dict[RelationKey, List[str]] = {}
-    names: List[str] = []
-    for view in catalog:
-        names.append(view.name)
+def view_signature(view: View) -> Signature:
+    """The relation/arity keys and constant pins of one view's body.
+
+    Memoised on the view, so a view shared by many catalog versions is
+    signed once.  Racing first builds store equal signatures.
+    """
+    if view._signature is None:
         keys: Set[RelationKey] = set()
         pins: List[ConstantKey] = []
         for atom in view.definition.conjuncts:
@@ -122,10 +129,21 @@ def build_catalog_index(catalog: ViewCatalog) -> CatalogIndex:
             for position, term in enumerate(atom.terms):
                 if isinstance(term, Constant):
                     pins.append(_constant_key(key, position, term))
-        required[view.name] = frozenset(keys)
-        constants[view.name] = tuple(pins)
+        view._signature = (frozenset(keys), tuple(pins))
+    return view._signature
+
+
+def build_catalog_index(catalog: ViewCatalog) -> CatalogIndex:
+    """Index every view body's relation/arity/constant signature."""
+    required: Dict[str, FrozenSet[RelationKey]] = {}
+    constants: Dict[str, Tuple[ConstantKey, ...]] = {}
+    postings: Dict[RelationKey, List[str]] = {}
+    for view in catalog:
+        keys, pins = view_signature(view)
+        required[view.name] = keys
+        constants[view.name] = pins
         for key in keys:
             postings.setdefault(key, []).append(view.name)
     return CatalogIndex(
-        tuple(names), required, constants,
+        tuple(required), required, constants,
         {key: tuple(view_names) for key, view_names in postings.items()})

@@ -61,7 +61,6 @@ from repro.views.buckets import (
 )
 from repro.views.cost import CostModel, default_cost
 from repro.views.expansion import expand_query
-from repro.views.index import build_catalog_index
 from repro.views.registry import resolve_rewriter_name
 from repro.views.view import ViewCatalog
 
@@ -337,7 +336,7 @@ class ExhaustiveRewriter:
         self.views_pruned = 0
         self.combos_pruned_unsafe = 0
 
-    def select_views(self, catalog, chase_atoms, index_provider):
+    def select_views(self, catalog, chase_atoms, catalog_index):
         return list(catalog)
 
     def candidate_combinations(self, images, base_conjuncts, summary_row,
@@ -361,8 +360,8 @@ class BucketedRewriter:
     def combos_pruned_unsafe(self) -> int:
         return self.statistics.combos_pruned_unsafe
 
-    def select_views(self, catalog, chase_atoms, index_provider):
-        index = index_provider()
+    def select_views(self, catalog, chase_atoms, catalog_index):
+        index = catalog_index if catalog_index is not None else catalog.index()
         survivors = index.probe(chase_atoms)
         selected = [view for view in catalog if view.name in survivors]
         self.views_pruned = len(catalog) - len(selected)
@@ -418,61 +417,50 @@ def rewrite_with_views(query: ConjunctiveQuery,
     it.  ``cost_model`` ranks certified rewritings (default:
     :func:`~repro.views.cost.default_cost`).  The three budgets bound the
     number of view images collected, the number of view atoms per
-    candidate, and the number of candidates certified.
+    candidate, and the number of candidates certified; like the
+    ``rewrite_*`` fields of :class:`~repro.api.config.SolverConfig` they
+    stand for, they must be positive.
 
     ``strategy`` names one of
     :data:`~repro.views.registry.REWRITE_STRATEGIES` (``None`` is
     ``"exhaustive"``); ``catalog_index`` optionally supplies a prebuilt
-    :class:`~repro.views.index.CatalogIndex` for the catalog (the solver
-    passes its fingerprint-cached one) — index-using strategies build a
-    fresh one when it is absent.
+    :class:`~repro.views.index.CatalogIndex` for the catalog —
+    index-using strategies otherwise probe the catalog's own
+    (:meth:`~repro.views.view.ViewCatalog.index`).
 
     ``containment_options`` are the legacy containment keywords.  Applied
-    to the solver's config, they govern every certification call and the
-    matching chase, which also takes that config's engine and, unless
-    ``chase_max_conjuncts`` is given, its conjunct budget.
+    to the solver's config together with the budgets above, they govern
+    every certification call and the matching chase, which also takes
+    that config's engine and, unless ``chase_max_conjuncts`` is given,
+    its conjunct budget.
     """
     from repro.api.solver import resolve_solver
 
     session = resolve_solver(solver)
-    return _rewrite_with_views(
-        query, catalog, dependencies, session,
-        session.config.with_legacy_kwargs(**containment_options),
-        cost_model=cost_model, max_images=max_images,
-        max_combination_size=max_combination_size,
-        max_candidates=max_candidates, chase_level=chase_level,
-        chase_max_conjuncts=chase_max_conjuncts, strategy=strategy,
-        catalog_index=catalog_index)
-
-
-def _rewrite_with_views(query: ConjunctiveQuery, catalog: ViewCatalog,
-                        dependencies: Optional[DependencySet], session,
-                        config, **search) -> RewriteReport:
-    """The search on ``session`` under the :class:`SolverConfig` ``config``.
-
-    ``search`` holds :func:`rewrite_with_views`' keywords from
-    ``cost_model`` to ``catalog_index``.  :meth:`Solver.rewrite
-    <repro.api.solver.Solver.rewrite>` calls this with a request's own
-    config, so certification and the matching chase follow every field
-    its cache key records.
-    """
-    report = _search(query, catalog, dependencies, session, config, **search)
-    probe = _probe.ACTIVE
-    if probe is not None:
-        probe.rewrite(report)
-    return report
+    config = session.config.with_legacy_kwargs(**containment_options).derive(
+        rewrite_max_images=max_images,
+        rewrite_max_combination_size=max_combination_size,
+        rewrite_max_candidates=max_candidates,
+        rewrite_chase_level=chase_level,
+        rewrite_strategy=strategy,
+        chase_max_conjuncts=(chase_max_conjuncts if chase_max_conjuncts is not None
+                             else session.config.chase_max_conjuncts))
+    return _search(query, catalog, dependencies, session, config,
+                   cost_model=cost_model, catalog_index=catalog_index)
 
 
 def _search(query: ConjunctiveQuery, catalog: ViewCatalog,
             dependencies: Optional[DependencySet], session, config, *,
             cost_model: Optional[CostModel] = None,
-            max_images: int = 64,
-            max_combination_size: int = 2,
-            max_candidates: int = 256,
-            chase_level: Optional[int] = None,
-            chase_max_conjuncts: Optional[int] = None,
-            strategy: Optional[str] = None,
             catalog_index=None) -> RewriteReport:
+    """The search on ``session`` under the :class:`SolverConfig` ``config``.
+
+    Budgets, matching depth and strategy come from the config's
+    ``rewrite_*`` fields and ``chase_max_conjuncts`` — the fields its
+    :meth:`~repro.api.config.SolverConfig.rewrite_key` records — and
+    certification runs under the config itself.  The finished report
+    goes to the active metrics probe.
+    """
     from repro.chase.engine import ChaseConfig
 
     sigma = dependencies if dependencies is not None else DependencySet()
@@ -480,20 +468,21 @@ def _search(query: ConjunctiveQuery, catalog: ViewCatalog,
     if catalog.base_schema is not None and catalog.base_schema != query.input_schema:
         raise ViewError(
             f"query {query.name} is not over the catalog's base schema")
-    rewriter = _REWRITERS[resolve_rewriter_name(strategy)]()
+    rewriter = _REWRITERS[resolve_rewriter_name(config.rewrite_strategy)]()
     report = RewriteReport(original=query, dependencies=sigma,
                            catalog_size=len(catalog),
                            strategy=rewriter.strategy_name)
     if len(catalog) == 0:
-        return report
+        return _observed(report)
 
     timings = report.stage_timings
     watch = Stopwatch()
     chase_config = ChaseConfig(
         variant=config.variant,
-        max_level=chase_level if chase_level is not None else match_level(catalog),
-        max_conjuncts=(chase_max_conjuncts if chase_max_conjuncts is not None
-                       else config.chase_max_conjuncts),
+        max_level=(config.rewrite_chase_level
+                   if config.rewrite_chase_level is not None
+                   else match_level(catalog)),
+        max_conjuncts=config.chase_max_conjuncts,
         record_trace=False,
         engine=config.chase_engine,
     )
@@ -501,7 +490,7 @@ def _search(query: ConjunctiveQuery, catalog: ViewCatalog,
     timings["chase"] = watch.restart()
     if chase_result.failed:
         report.unsatisfiable = True
-        return report
+        return _observed(report)
 
     # The FD-normalised original: level-0 conjuncts plus the (possibly
     # merged) summary row.  Candidates are built from these atoms so FD
@@ -513,23 +502,18 @@ def _search(query: ConjunctiveQuery, catalog: ViewCatalog,
     base_labels = {conjunct.label for conjunct in base_conjuncts}
     chase_atoms = list(chase_result.conjuncts())
 
-    def index_provider():
-        if catalog_index is not None:
-            return catalog_index
-        return build_catalog_index(catalog)
-
-    selected_views = rewriter.select_views(catalog, chase_atoms, index_provider)
+    selected_views = rewriter.select_views(catalog, chase_atoms, catalog_index)
     report.views_pruned = rewriter.views_pruned
     timings["index_probe"] = watch.restart()
 
     images, truncated, views_skipped = find_view_images(
-        selected_views, chase_atoms, base_labels, max_images)
+        selected_views, chase_atoms, base_labels, config.rewrite_max_images)
     report.images_found = len(images)
     report.search_truncated = truncated
     report.views_skipped = views_skipped
     timings["image_discovery"] = watch.restart()
     if not images:
-        return report
+        return _observed(report)
     # Images covering the most atoms first: singletons that replace whole
     # joins are certified before marginal ones, so a tight candidate
     # budget still sees the best rewritings.
@@ -537,14 +521,14 @@ def _search(query: ConjunctiveQuery, catalog: ViewCatalog,
                                    image.view_name, image.atom.label))
 
     candidate_combinations = rewriter.candidate_combinations(
-        images, base_conjuncts, summary_row, max(1, max_combination_size))
+        images, base_conjuncts, summary_row, config.rewrite_max_combination_size)
     timings["candidate_generation"] = watch.restart()
 
     extended = catalog.extended_schema()
     seen_candidates: Set[FrozenSet[Tuple[str, Tuple[Term, ...]]]] = set()
     certified: List[Rewriting] = []
     for combo in candidate_combinations:
-        if report.candidates_tried >= max_candidates:
+        if report.candidates_tried >= config.rewrite_max_candidates:
             report.search_truncated = True
             break
         covered: Set[str] = set()
@@ -600,4 +584,12 @@ def _search(query: ConjunctiveQuery, catalog: ViewCatalog,
     certified.sort(key=lambda rewriting: rewriting.cost)
     report.rewritings = certified
     timings["ranking"] = watch.restart()
+    return _observed(report)
+
+
+def _observed(report: RewriteReport) -> RewriteReport:
+    """``report``, after handing it to the active metrics probe."""
+    probe = _probe.ACTIVE
+    if probe is not None:
+        probe.rewrite(report)
     return report

@@ -4,8 +4,14 @@ A :class:`View` is a conjunctive query with a name; the name doubles as a
 derived relation whose columns are the view's head variables.  A
 :class:`ViewCatalog` is an ordered collection of views over one base
 schema; it exposes the *extended schema* (base relations plus one relation
-per view) that rewritings are written against, and a stable content
-fingerprint used by the solver's rewrite cache.
+per view) that rewritings are written against, the signature index the
+bucketed rewriter probes, and a stable content fingerprint used by the
+solver's rewrite cache.
+
+Each derived part lives on the object it is derived from and is built on
+first use: a view memoises its relation schema, index signature and
+fingerprint, a catalog its extended schema, index and fingerprint.
+Catalog versions that share a view therefore share that view's parts.
 
 Views are restricted to heads of pairwise distinct distinguished
 variables.  This loses no generality for rewriting (a constant or repeated
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
+import repro.views.index
 from repro.exceptions import ViewError
 from repro.queries.conjunctive_query import ConjunctiveQuery
 from repro.relational.schema import DatabaseSchema, RelationSchema
@@ -28,11 +35,15 @@ from repro.terms.term import DistinguishedVariable, Variable
 class View:
     """One named view ``V(x1, ..., xk) :- body`` over the base schema."""
 
-    #: Memo of :func:`~repro.api.fingerprints.view_fingerprint`; a view
-    #: never changes, so it is never cleared.  A class attribute so views
-    #: pickled before the memo existed unpickle without it and digest on
-    #: first use.
+    #: Memos of :func:`~repro.api.fingerprints.view_fingerprint`,
+    #: :meth:`relation_schema` and
+    #: :func:`~repro.views.index.view_signature`; a view never changes,
+    #: so they are never cleared.  Class attributes so views pickled
+    #: before a memo existed unpickle without it and build it on first
+    #: use.
     _fingerprint: Optional[str] = None
+    _relation_schema: Optional[RelationSchema] = None
+    _signature: Optional[Tuple] = None
 
     def __init__(self, name: str, definition: ConjunctiveQuery):
         if not name:
@@ -94,9 +105,13 @@ class View:
         """The derived relation this view contributes to the extended schema.
 
         Columns are named after the head variables, which the head
-        restriction guarantees are distinct.
+        restriction guarantees are distinct.  Memoised: every catalog
+        holding this view shares one (frozen) relation schema.
         """
-        return RelationSchema(self._name, [variable.name for variable in self.head])
+        if self._relation_schema is None:
+            self._relation_schema = RelationSchema(
+                self._name, [variable.name for variable in self.head])
+        return self._relation_schema
 
     # -- identity ----------------------------------------------------------
 
@@ -120,11 +135,12 @@ class View:
 class ViewCatalog:
     """An ordered, name-keyed collection of views over one base schema."""
 
-    #: Memos of :func:`~repro.api.fingerprints.catalog_fingerprint` and
-    #: :meth:`extended_schema`, cleared by :meth:`add`.  Class attributes
-    #: for the same reason as :attr:`View._fingerprint`.
+    #: Memos of :func:`~repro.api.fingerprints.catalog_fingerprint`,
+    #: :meth:`extended_schema` and :meth:`index`, cleared by :meth:`add`.
+    #: Class attributes for the same reason as :attr:`View._fingerprint`.
     _fingerprint: Optional[str] = None
     _extended_schema: Optional[DatabaseSchema] = None
+    _index: Optional["repro.views.index.CatalogIndex"] = None
 
     def __init__(self, views: Optional[Iterable[View]] = None,
                  schema: Optional[DatabaseSchema] = None):
@@ -152,6 +168,7 @@ class ViewCatalog:
         self._views[view.name] = view
         self._fingerprint = None
         self._extended_schema = None
+        self._index = None
         return self
 
     # -- container protocol ------------------------------------------------
@@ -203,6 +220,17 @@ class ViewCatalog:
                 extended.add(view.relation_schema())
             self._extended_schema = extended
         return self._extended_schema
+
+    def index(self) -> "repro.views.index.CatalogIndex":
+        """The signature index the bucketed rewriter probes.
+
+        Built on first use by :func:`repro.views.index.build_catalog_index`
+        (looked up at call time, so a wrapper installed on it sees every
+        build) and memoised until :meth:`add`, like :meth:`extended_schema`.
+        """
+        if self._index is None:
+            self._index = repro.views.index.build_catalog_index(self)
+        return self._index
 
     # -- reporting ---------------------------------------------------------
 

@@ -11,8 +11,11 @@ version cheap without changing any answer:
   the view parsed from an identical line over the same schema object, so
   a version that adds one view parses one line and a rewrite by
   fingerprint parses no view at all;
+* versions parsed by one parser share the derived parts (relation
+  schema, index signature) of every view they have in common;
 * :meth:`ViewCatalog.add` drops the catalog's memos, and views and
-  catalogs pickled without them digest identically;
+  catalogs pickled without them digest identically and build the
+  missing parts on first use;
 * threads sharing one evicting parser never see a ``KeyError`` and agree
   with a single thread.
 """
@@ -34,6 +37,7 @@ from repro.parser import parse_query, parse_schema
 from repro.parser import view_parser
 from repro.parser.view_parser import parse_views
 from repro.service import ShardedSolverPool, TenantParser
+from repro.views.index import view_signature
 from repro.views.view import View
 
 SCHEMA = "EMP(emp, sal, dept)\nDEP(dept, loc)"
@@ -152,6 +156,31 @@ class TestOneVersionParsesOnlyItsChange:
         assert not set(LINES) & set(interned)
 
 
+class TestVersionsShareViewParts:
+    def test_unchanged_views_share_relation_schemas_and_signatures(self):
+        parser = TenantParser()
+        first = parser.catalog("\n".join(LINES), SCHEMA)
+        second = parser.catalog("\n".join(LINES[1:] + (EXTRA,)), SCHEMA)
+        shared = ("V2", "V3")
+        for name in shared:
+            assert second.get(name) is first.get(name)
+        first_schema, second_schema = (first.extended_schema(),
+                                       second.extended_schema())
+        first_index, second_index = first.index(), second.index()
+        assert second_schema is not first_schema
+        assert second_index is not first_index
+        for name in shared:
+            view = first.get(name)
+            assert second_schema.relation(name) is view.relation_schema()
+            assert first_schema.relation(name) is view.relation_schema()
+            keys, pins = view_signature(view)
+            for index in (first_index, second_index):
+                assert index._required[name] is keys
+                assert index._constants[name] is pins
+        assert "V1" not in second_index.view_names
+        assert second_index.view_names == ("V2", "V3", "V4")
+
+
 class TestInvalidation:
     def test_add_after_memoising_matches_a_fresh_catalog(self):
         schema = parse_schema(SCHEMA)
@@ -165,22 +194,47 @@ class TestInvalidation:
         assert views.extended_schema() == fresh.extended_schema()
         assert "V3" in views.extended_schema() and "V3" not in extended
 
+    def test_add_clears_the_index(self):
+        schema = parse_schema(SCHEMA)
+        views = parse_views("\n".join(LINES[:2]), schema)
+        index = views.index()
+        assert views.index() is index
+        views.add(View("V3", parse_query(LINES[2], schema)))
+        assert views.index() is not index
+        assert views.index().view_names == ("V1", "V2", "V3")
+        assert index.view_names == ("V1", "V2")
+
 
 class TestPickles:
     def test_views_and_catalogs_pickled_without_the_memos(self):
-        """Payloads pickled before the memos existed."""
-        views = catalog()
-        catalog_fingerprint(views)
-        views.extended_schema()
-        for owner in (views, *views):
-            vars(owner).pop("_fingerprint", None)
-            vars(owner).pop("_extended_schema", None)
-        blob = pickle.dumps(views)
-        assert b"_fingerprint" not in blob and b"_extended_schema" not in blob
-        restored = pickle.loads(blob)
-        assert digests(restored) == VIEW_DIGESTS
-        assert catalog_fingerprint(restored) == CATALOG_DIGEST
-        assert restored.extended_schema() == catalog().extended_schema()
+        """Payloads pickled before the memos existed, or before views and
+        catalogs held their derived parts."""
+        parts = ("_relation_schema", "_signature", "_index")
+        for missing in (("_fingerprint", "_extended_schema") + parts, parts):
+            views = catalog()
+            catalog_fingerprint(views)
+            views.extended_schema()
+            views.index()
+            for owner in (views, *views):
+                for memo in missing:
+                    vars(owner).pop(memo, None)
+            blob = pickle.dumps(views)
+            if "_fingerprint" in missing:
+                assert (b"_fingerprint" not in blob
+                        and b"_extended_schema" not in blob)
+            restored = pickle.loads(blob)
+            for owner in (restored, *restored):
+                assert not set(missing) & set(vars(owner))
+            assert digests(restored) == VIEW_DIGESTS
+            assert catalog_fingerprint(restored) == CATALOG_DIGEST
+            fresh = catalog()
+            assert restored.extended_schema() == fresh.extended_schema()
+            for view in restored:
+                assert view.relation_schema() == fresh.get(view.name).relation_schema()
+                assert view_signature(view) == view_signature(fresh.get(view.name))
+            probe = parse_query(LINES[2], restored.base_schema).conjuncts
+            assert restored.index().view_names == fresh.index().view_names
+            assert restored.index().probe(probe) == fresh.index().probe(probe)
         single = pickle.loads(pickle.dumps(View("V1", parse_query(
             LINES[0], parse_schema(SCHEMA)))))
         assert view_fingerprint(single) == VIEW_DIGESTS["V1"]
@@ -189,12 +243,15 @@ class TestPickles:
         views = catalog()
         catalog_fingerprint(views)
         views.extended_schema()
+        views.index()
         restored = pickle.loads(pickle.dumps(views))
         assert catalog_fingerprint(restored) == CATALOG_DIGEST
+        assert restored.index().view_names == ("V1", "V2", "V3")
         restored.add(View("V4", parse_query(EXTRA, restored.base_schema)))
         assert (catalog_fingerprint(restored) == catalog_fingerprint(
             parse_views("\n".join(LINES + (EXTRA,)), parse_schema(SCHEMA))))
         assert "V4" in restored.extended_schema()
+        assert restored.index().view_names == ("V1", "V2", "V3", "V4")
 
 
 class TestSharedParserUnderThreads:

@@ -652,6 +652,6 @@ class TestHealth:
     def test_health_document_shape(self):
         document = obs.health()
         assert document["uptime_s"] >= 0.0
-        assert document["tracer"]["enabled"] in (True, False)
+        assert document["tracer"]["max_spans_per_trace"] > 0
         assert document["metrics_families"] >= 0
         json.dumps(document)  # JSON-ready by construction

@@ -34,6 +34,8 @@ from repro.views import (
     rewrite_with_views,
     validate_rewriter_name,
 )
+from repro.service.protocol import ServiceLimits
+from repro.views import index as index_module
 from repro.views.rewriting import _REWRITERS
 from repro.workloads.dependency_generator import DependencyGenerator
 from repro.workloads.query_generator import QueryGenerator
@@ -157,14 +159,25 @@ class TestCatalogIndex:
         assert index.probe(pinned.conjuncts) == {"V7"}
         assert index.probe(other.conjuncts) == set()
 
-    def test_solver_shares_one_index_per_catalog_fingerprint(self):
+    def test_solvers_share_the_catalogs_index(self, monkeypatch):
+        # The index lives on the catalog, built through the module's
+        # build_catalog_index (the name a tracer wraps): two solvers
+        # rewriting over one catalog build it once between them.
+        built = []
+        build = index_module.build_catalog_index
+
+        def counting(catalog):
+            built.append(catalog)
+            return build(catalog)
+
+        monkeypatch.setattr(index_module, "build_catalog_index", counting)
         schema, sigma, query, catalog = intro_setup()
-        solver = Solver()
-        fingerprint = catalog_fingerprint(catalog)
-        first = solver.catalog_index_for(catalog, fingerprint)
-        second = solver.catalog_index_for(catalog, fingerprint)
-        assert first is second
-        assert isinstance(first, CatalogIndex)
+        config = SolverConfig(rewrite_strategy="bucketed")
+        for solver in (Solver(config), Solver(config)):
+            assert solver.rewrite(query, catalog, sigma).rewritings
+        assert built == [catalog]
+        assert isinstance(catalog.index(), CatalogIndex)
+        assert built == [catalog]
 
     def test_index_probe_sees_the_chased_canonical_form(self):
         # The intro shape: Q mentions only EMP, the view needs DEP too —
@@ -422,6 +435,91 @@ class TestReportCounters:
             "chase", "index_probe", "image_discovery",
             "candidate_generation", "certification", "ranking"}
         assert all(value >= 0 for value in report.stage_timings.values())
+
+
+# ---------------------------------------------------------------------------
+# rewrite_with_views' keywords map onto one SolverConfig
+# ---------------------------------------------------------------------------
+
+
+def lav_setup(seed=1, views=40):
+    schema = SchemaGenerator(seed=seed).uniform(6, 3)
+    sigma = DependencyGenerator(schema, seed=seed).key_based(3)
+    catalog = ViewCatalogGenerator(schema, seed=seed).lav_catalog(views, sigma)
+    queries = QueryGenerator(schema, seed=seed + 7)
+    return sigma, catalog, (queries.chain(2, name="Ql2"),
+                            queries.chain(3, name="Ql3"))
+
+
+def outcome(report):
+    return (report.strategy, report.counts(), report.search_truncated,
+            [(rewriting.cost, rewriting.view_names)
+             for rewriting in report.rewritings])
+
+
+class TestKeywordMapping:
+    @pytest.mark.parametrize("strategy", REWRITE_STRATEGIES)
+    def test_served_oracle_keywords_match_solver_rewrite(self, strategy):
+        # The exact keywords the served benchmark's oracle passes, against
+        # the SolverConfig a service shard rewrites under.
+        sigma, catalog, queries = lav_setup()
+        config = SolverConfig()
+        limits = ServiceLimits()
+        equivalent = config.derive(max_conjuncts=limits.max_conjuncts,
+                                   rewrite_strategy=strategy)
+        certified = 0
+        for query in queries:
+            mapped = rewrite_with_views(
+                query, catalog, sigma,
+                solver=Solver(),
+                max_images=config.rewrite_max_images,
+                max_combination_size=config.rewrite_max_combination_size,
+                max_candidates=config.rewrite_max_candidates,
+                chase_level=config.rewrite_chase_level,
+                chase_max_conjuncts=config.chase_max_conjuncts,
+                strategy=resolve_rewriter_name(strategy),
+                catalog_index=build_catalog_index(catalog),
+                max_conjuncts=limits.max_conjuncts)
+            direct = Solver().rewrite(query, catalog, sigma, config=equivalent)
+            assert outcome(mapped) == outcome(direct)
+            certified += mapped.certified
+        assert certified
+
+    @pytest.mark.parametrize("strategy", REWRITE_STRATEGIES)
+    def test_tight_budgets_map_field_for_field(self, strategy):
+        sigma, catalog, queries = lav_setup()
+        budgets = dict(max_images=3, max_combination_size=1,
+                       max_candidates=2, chase_level=1,
+                       chase_max_conjuncts=400)
+        equivalent = SolverConfig(
+            rewrite_max_images=3, rewrite_max_combination_size=1,
+            rewrite_max_candidates=2, rewrite_chase_level=1,
+            chase_max_conjuncts=400, rewrite_strategy=strategy)
+        truncated = 0
+        for query in queries:
+            mapped = rewrite_with_views(query, catalog, sigma, solver=Solver(),
+                                        strategy=strategy, **budgets)
+            direct = Solver().rewrite(query, catalog, sigma, config=equivalent)
+            assert outcome(mapped) == outcome(direct)
+            truncated += mapped.search_truncated
+        assert truncated
+
+    def test_omitted_chase_budget_keeps_the_sessions(self):
+        # A 3-conjunct matching chase finds fewer images than the default.
+        sigma, catalog, (query, _) = lav_setup()
+        tight = SolverConfig(chase_max_conjuncts=3)
+        report = rewrite_with_views(query, catalog, sigma, solver=Solver(tight))
+        expected = Solver().rewrite(query, catalog, sigma, config=tight)
+        assert outcome(report) == outcome(expected)
+        assert outcome(report) != outcome(rewrite_with_views(
+            query, catalog, sigma, solver=Solver()))
+
+    @pytest.mark.parametrize("budget", ["max_images", "max_combination_size",
+                                        "max_candidates"])
+    def test_non_positive_budgets_are_rejected(self, budget):
+        schema, sigma, query, catalog = intro_setup()
+        with pytest.raises(ReproError, match="rewrite budgets must be positive"):
+            rewrite_with_views(query, catalog, sigma, **{budget: 0})
 
 
 # ---------------------------------------------------------------------------

@@ -716,6 +716,28 @@ class TestCatalogStore:
             store.put(views, SCHEMA_TEXT, parser)
         assert len(store) <= 4
 
+    def test_re_registering_refreshes_the_entry(self):
+        # A re-put catalog is the newest entry: eviction drops catalogs
+        # registered after its first put before it drops the re-put one.
+        from repro.service import CatalogStore
+        store = CatalogStore(max_entries=4)
+        parser = TenantParser()
+
+        def put(name):
+            return store.put(f"{name}(e, s, d) :- EMP(e, s, d)", SCHEMA_TEXT,
+                             parser)
+
+        first = put("A")
+        for name in ("V0", "V1", "V2"):
+            put(name)
+        again = put("A")
+        assert again["replaced"] and again["fingerprint"] == first["fingerprint"]
+        assert [row["fingerprint"] for row in store.rows()][-1] == (
+            first["fingerprint"])
+        put("VZ")  # the fifth entry evicts the oldest half
+        assert store.get(first["fingerprint"]) is not None
+        assert len(store) == 3
+
     def test_validate_record_accepts_catalog_ops(self):
         validate_record({"op": "catalog.put", "views": VIEWS_TEXT,
                          "schema": SCHEMA_TEXT})

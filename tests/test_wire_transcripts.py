@@ -51,7 +51,7 @@ VOLATILE_KEYS = frozenset({
     "threshold_s", "slow_op_threshold_s",
     # process identity and process-wide obs state
     "pid", "python", "probe", "metrics", "text", "metrics_families",
-    "running", "interval_s", "enabled",
+    "running", "interval_s",
     # cache snapshots and the node's ephemeral address
     "cache_stats", "address",
     # chase-engine work accounting
