@@ -30,7 +30,10 @@ Claims checked alongside the timings:
   candidates certification would reject anyway;
 * **amortisation**: building the :class:`CatalogIndex` once costs a
   small fraction of a single exhaustive rewrite, so the per-fingerprint
-  index cache pays for itself on the first request.
+  index cache pays for itself on the first request.  Each timed build
+  runs on a freshly parsed copy of the catalog: a view memoises its
+  signature, so rebuilding over views that were indexed before would
+  time only the posting assembly, not what a first request pays.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import time
 import pytest
 
 from repro.api import Solver
+from repro.parser.view_parser import parse_views
 from repro.views import build_catalog_index, rewrite_with_views
 from repro.workloads import (
     DependencyGenerator,
@@ -139,17 +143,29 @@ def test_e22_bucketed_beats_exhaustive_at_catalog_scale(benchmark, workload):
         f"{CATALOG_SIZE}-view catalog")
 
 
+def _fresh_copy(catalog_text, schema):
+    """The catalog parsed anew: its views have no memoised signatures."""
+    copy = parse_views(catalog_text, schema)
+    assert all(view._signature is None for view in copy)
+    return copy
+
+
 @pytest.mark.benchmark(group="E22-catalog-rewrite")
 def test_e22_index_build_amortises_on_first_request(benchmark, workload):
-    _, sigma, query, catalog = workload
+    schema, sigma, query, catalog = workload
+    catalog_text = "\n".join(str(view) for view in catalog)
 
-    index = benchmark(build_catalog_index, catalog)
+    index = benchmark.pedantic(
+        build_catalog_index, rounds=ROUNDS, iterations=1,
+        setup=lambda: ((_fresh_copy(catalog_text, schema),), {}))
     assert len(index) == CATALOG_SIZE
+    assert index.indexes(catalog)
 
     build_times = []
     for _ in range(ROUNDS):
+        copy = _fresh_copy(catalog_text, schema)
         started = time.perf_counter()
-        build_catalog_index(catalog)
+        build_catalog_index(copy)
         build_times.append(time.perf_counter() - started)
     exhaustive_time, _ = _timed_rounds(
         query, catalog, sigma, "exhaustive", None)

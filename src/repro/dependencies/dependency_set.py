@@ -20,6 +20,14 @@ and heads — of which FDs and INDs are the classical special cases
 :class:`DependencySet` stores the dependencies, validates them against a
 schema, computes the maximum IND width W, determines keys, and implements
 the key-based test exactly as defined in Section 2.
+
+A served tenant is one schema and one Σ shared by many requests, and
+none of these facts depends on a query.  So the set memoises them: its
+class, its validation and the chase engine's compiled plan per schema,
+keyed on the schema's memoised
+:meth:`~repro.relational.schema.DatabaseSchema.signature_text` (a string
+that caches its hash, so a lookup costs no walk over the relations),
+and W on the set itself.  :meth:`DependencySet.add` clears them all.
 """
 
 from __future__ import annotations
@@ -35,7 +43,6 @@ from typing import (
     List,
     Optional,
     Set,
-    Tuple,
     TypeVar,
     Union,
 )
@@ -79,14 +86,20 @@ class DependencySet:
     same DependencySet produce identical chases.
     """
 
+    #: Memo of :meth:`max_width`, cleared by :meth:`add`.  A class
+    #: attribute so sets pickled before the memo existed (persistent
+    #: cache entries, process-shard payloads) unpickle without it and
+    #: compute W on first use.
+    _max_width: Optional[int] = None
+
     def __init__(self, dependencies: Optional[Iterable[Dependency]] = None,
                  schema: Optional[DatabaseSchema] = None):
         self._dependencies: List[Dependency] = []
         self._seen: Set[Dependency] = set()
         self._schema = schema
-        self._classify_cache: Dict[Optional[Tuple], DependencyClass] = {}
-        self._validated_signatures: Set[Tuple] = set()
-        self._compiled: Dict[Tuple, object] = {}
+        self._classify_cache: Dict[Optional[str], DependencyClass] = {}
+        self._validated_signatures: Set[str] = set()
+        self._compiled: Dict[str, object] = {}
         self._fingerprint: Optional[str] = None
         for dependency in dependencies or ():
             self.add(dependency)
@@ -109,6 +122,7 @@ class DependencySet:
             self._validated_signatures.clear()
             self._compiled.clear()
             self._fingerprint = None
+            self._max_width = None
         return self
 
     def union(self, other: "DependencySet") -> "DependencySet":
@@ -203,11 +217,14 @@ class DependencySet:
         For FD/IND-only sets this equals :meth:`max_ind_width` (so the
         Theorem 2 level bound is unchanged on the paper's classes); a
         TGD contributes the size of its frontier, the variables whose
-        values the chase copies into created conjuncts.
+        values the chase copies into created conjuncts.  Every chase reads
+        W for its level bound, so it is memoised until :meth:`add`.
         """
-        widths = [d.width for d in self._dependencies
-                  if isinstance(d, (InclusionDependency, TGD))]
-        return max(widths) if widths else 0
+        if self._max_width is None:
+            self._max_width = max(
+                (d.width for d in self._dependencies
+                 if isinstance(d, (InclusionDependency, TGD))), default=0)
+        return self._max_width
 
     def size(self) -> int:
         """|Σ|: the number of dependencies."""
@@ -232,17 +249,13 @@ class DependencySet:
             self._fingerprint = digest.hexdigest()
         return self._fingerprint
 
-    @staticmethod
-    def _schema_signature(schema: Optional[DatabaseSchema]) -> Optional[Tuple]:
-        return schema.signature() if schema is not None else None
-
     # -- validation ---------------------------------------------------------------------------
 
     def validate(self, schema: Optional[DatabaseSchema] = None) -> None:
         """Check every dependency against a schema.
 
         Validation is pure in (Σ, schema content), so the result is
-        memoised on the schema's :meth:`~DatabaseSchema.signature`;
+        memoised on the schema's :meth:`~DatabaseSchema.signature_text`;
         :meth:`add` invalidates the memo.  Chase engines validate on
         construction, so repeated chases over the same Σ (containment
         tests run one per CQ pair, benchmarks run hundreds) pay the
@@ -251,10 +264,10 @@ class DependencySet:
         target = schema or self._schema
         if target is None:
             raise DependencyError("no schema available to validate against")
-        self._validate_signature(target, target.signature())
+        self._validate_signature(target, target.signature_text())
 
     def _validate_signature(self, schema: DatabaseSchema,
-                            signature: Tuple) -> None:
+                            signature: str) -> None:
         if signature in self._validated_signatures:
             return
         for dependency in self._dependencies:
@@ -268,13 +281,13 @@ class DependencySet:
 
         The chase engine's plan depends only on (Σ, schema content), so
         like :meth:`validate` and :meth:`classify` it is memoised on the
-        schema's :meth:`~DatabaseSchema.signature` — computed once per
-        call — and :meth:`add` drops it.  The memo holds one compiled
-        object per signature, so every caller must pass the same
-        ``compiler``; the result is shared by concurrent chases over this
-        Σ and must never be mutated.
+        schema's :meth:`~DatabaseSchema.signature_text` and :meth:`add`
+        drops it.  The memo holds one compiled object per signature, so
+        every caller must pass the same ``compiler``; the result is
+        shared by concurrent chases over this Σ and must never be
+        mutated.
         """
-        signature = schema.signature()
+        signature = schema.signature_text()
         plan = self._compiled.get(signature)
         if plan is None:
             self._validate_signature(schema, signature)
@@ -367,13 +380,14 @@ class DependencySet:
     def classify(self, schema: Optional[DatabaseSchema] = None) -> DependencyClass:
         """Which of the paper's cases Σ falls into.
 
-        The answer depends only on the dependencies and the schema, both of
-        which are classified per content, so it is memoised: a frozen Σ
-        re-used across many containment calls is classified once.  The
-        cache is invalidated whenever :meth:`add` changes the set.
+        The answer depends only on the dependencies and the schema's
+        content, so it is memoised on the schema's
+        :meth:`~DatabaseSchema.signature_text`: a frozen Σ re-used across
+        many containment calls is classified once.  The cache is
+        invalidated whenever :meth:`add` changes the set.
         """
         target = schema or self._schema
-        key = self._schema_signature(target)
+        key = target.signature_text() if target is not None else None
         cached = self._classify_cache.get(key)
         if cached is not None:
             return cached

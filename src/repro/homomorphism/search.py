@@ -126,11 +126,11 @@ def iter_homomorphisms(problem: HomomorphismProblem) -> Iterator[Assignment]:
 
 
 def _iter_counted(probe, problem: HomomorphismProblem) -> Iterator[Assignment]:
-    """Report one search (and its solution count) to the probe.
+    """Report one enumeration (and its solution count) to the probe.
 
-    The report fires when the generator is exhausted *or* closed — an
-    early-exiting consumer (``find_homomorphism`` takes one solution)
-    still counts, via the ``finally`` running on generator close.
+    The report fires when the generator is exhausted *or* closed, so an
+    early-exiting consumer still counts, via the ``finally`` running on
+    generator close.
     """
     found = 0
     try:
@@ -234,16 +234,21 @@ def _iter_homomorphisms(problem: HomomorphismProblem) -> Iterator[Assignment]:
 
 
 def find_homomorphism(problem: HomomorphismProblem) -> Optional[Assignment]:
-    """Return one homomorphism, or ``None`` if none exists."""
+    """Return one homomorphism, or ``None`` if none exists.
+
+    Reports its one search to the probe itself, with 1 or 0 solutions
+    found, so a single search needs no :func:`_iter_counted` wrapper.
+    """
     with maybe_span("homomorphism.search",
                     atoms=len(problem.source_atoms)) as span:
-        for assignment in iter_homomorphisms(problem):
-            if span is not None:
-                span.tags["found"] = True
-            return assignment
+        assignment = next(_iter_homomorphisms(problem), None)
+        found = assignment is not None
         if span is not None:
-            span.tags["found"] = False
-        return None
+            span.tags["found"] = found
+    probe = _probe.ACTIVE
+    if probe is not None:
+        probe.homomorphism(len(problem.source_atoms), int(found))
+    return assignment
 
 
 def has_homomorphism(problem: HomomorphismProblem) -> bool:

@@ -18,6 +18,17 @@ Process-pool shards each carry their *own* registry (a child process is
 a new process); the service front end therefore answers ``obs.metrics``
 from the process that serves it, which is the front end's.
 
+Events the engines report through :class:`~repro.obs.probe.MetricsProbe`
+are not applied when they happen: the probe appends each one, as a
+tuple of label values and numbers, to its registry's queue, and the
+registry folds the queue into its series under the lock whenever it or
+one of its instruments is read (:meth:`~MetricsRegistry.snapshot`,
+:meth:`~MetricsRegistry.render_prometheus`, :meth:`~MetricsRegistry.get`,
+``value``), or when the queue reaches :data:`PENDING_EVENTS`.  A request
+therefore pays one ``deque.append`` per event, and label resolution and
+locking run when someone looks.  Appends and pops on a ``deque`` are
+atomic, so events reported while another thread folds are never lost.
+
 Registering the same family twice returns the existing instrument (so
 probes and services can be constructed repeatedly in one process), but a
 kind or label-set mismatch on an existing name is a programming error
@@ -29,6 +40,7 @@ from __future__ import annotations
 import re
 import threading
 from bisect import bisect_left
+from collections import deque
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ReproError
@@ -41,6 +53,7 @@ __all__ = [
     "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_SIZE_BUCKETS",
+    "PENDING_EVENTS",
     "get_registry",
 ]
 
@@ -55,6 +68,14 @@ DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
 DEFAULT_SIZE_BUCKETS: Tuple[float, ...] = (
     1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000,
 )
+
+#: Queued events at which the reporting thread folds its registry's queue
+#: itself, so an unread registry holds a bounded backlog.
+PENDING_EVENTS = 512
+
+#: One queued event: the function that folds it, then its label values
+#: and numbers.  The fold function receives the whole tuple.
+Event = Tuple[Any, ...]
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -80,11 +101,12 @@ class _Instrument:
     kind = "untyped"
 
     def __init__(self, name: str, help_text: str,
-                 label_names: Tuple[str, ...], lock: threading.RLock):
+                 label_names: Tuple[str, ...], registry: "MetricsRegistry"):
         self.name = name
         self.help_text = help_text
         self.label_names = label_names
-        self._lock = lock
+        self._registry = registry
+        self._lock = registry._lock
         self._series: Dict[Tuple[str, ...], Any] = {}
 
     def _key(self, labels: Dict[str, Any]) -> Tuple[str, ...]:
@@ -113,6 +135,7 @@ class _Instrument:
 
     def snapshot(self) -> Dict[str, Any]:
         with self._lock:
+            self._registry._fold_pending()
             return {"kind": self.kind, "help": self.help_text,
                     "labels": list(self.label_names),
                     "series": self._series_snapshot()}
@@ -129,29 +152,11 @@ class _Instrument:
         lines = [f"# HELP {self.name} {self.help_text}",
                  f"# TYPE {self.name} {self.kind}"]
         with self._lock:
+            self._registry._fold_pending()
             for key in sorted(self._series):
                 lines.append(f"{self.name}{self._label_suffix(key)} "
                              f"{_format_value(self._series[key])}")
         return lines
-
-
-class _BoundCounter:
-    """A counter pre-resolved to one label combination (hot-path use)."""
-
-    __slots__ = ("_instrument", "_key")
-
-    def __init__(self, instrument: "Counter", key: Tuple[str, ...]):
-        self._instrument = instrument
-        self._key = key
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise MetricError(
-                f"counter {self._instrument.name!r} cannot decrease "
-                f"(inc by {amount})")
-        instrument, key = self._instrument, self._key
-        with instrument._lock:
-            instrument._series[key] = instrument._series.get(key, 0) + amount
 
 
 class Counter(_Instrument):
@@ -160,20 +165,32 @@ class Counter(_Instrument):
     kind = "counter"
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
+        key = self._key(labels)
+        with self._lock:
+            self._add(key, amount)
+
+    def _add(self, key: Tuple[str, ...], amount: float) -> None:
+        # The caller holds the lock and has resolved the labels.
         if amount < 0:
             raise MetricError(
                 f"counter {self.name!r} cannot decrease (inc by {amount})")
-        key = self._key(labels)
-        with self._lock:
-            self._series[key] = self._series.get(key, 0) + amount
+        self._series[key] = self._series.get(key, 0) + amount
 
-    def labels(self, **labels: Any) -> _BoundCounter:
-        """A child bound to ``labels``: skips key-building on every inc."""
-        return _BoundCounter(self, self._key(labels))
+    def _add_counts(self, kinds: Sequence[str],
+                    amounts: Sequence[float]) -> None:
+        """Add ``amounts[i]`` to the ``{kind=kinds[i]}`` series, skipping zeros.
+
+        For a one-label family fed by a counting object's ``COUNTERS``
+        and ``counts()``; the caller holds the lock.
+        """
+        for kind, amount in zip(kinds, amounts):
+            if amount:
+                self._add((kind,), amount)
 
     def value(self, **labels: Any) -> float:
         key = self._key(labels)
         with self._lock:
+            self._registry._fold_pending()
             return self._series.get(key, 0)
 
 
@@ -198,6 +215,7 @@ class Gauge(_Instrument):
     def value(self, **labels: Any) -> float:
         key = self._key(labels)
         with self._lock:
+            self._registry._fold_pending()
             return self._series.get(key, 0)
 
 
@@ -210,32 +228,15 @@ class _HistogramSeries:
         self.count = 0
 
 
-class _BoundHistogram:
-    """A histogram pre-resolved to one series (hot-path use)."""
-
-    __slots__ = ("_instrument", "_series")
-
-    def __init__(self, instrument: "Histogram", series: "_HistogramSeries"):
-        self._instrument = instrument
-        self._series = series
-
-    def observe(self, value: float) -> None:
-        instrument, series = self._instrument, self._series
-        with instrument._lock:
-            series.bucket_counts[bisect_left(instrument.bounds, value)] += 1
-            series.sum += value
-            series.count += 1
-
-
 class Histogram(_Instrument):
     """Fixed-bucket histogram with cumulative Prometheus exposition."""
 
     kind = "histogram"
 
     def __init__(self, name: str, help_text: str,
-                 label_names: Tuple[str, ...], lock: threading.RLock,
+                 label_names: Tuple[str, ...], registry: "MetricsRegistry",
                  buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS):
-        super().__init__(name, help_text, label_names, lock)
+        super().__init__(name, help_text, label_names, registry)
         bounds = tuple(sorted(float(bound) for bound in buckets))
         if not bounds:
             raise MetricError(f"histogram {name!r} needs at least one bucket")
@@ -244,24 +245,23 @@ class Histogram(_Instrument):
     def observe(self, value: float, **labels: Any) -> None:
         key = self._key(labels)
         with self._lock:
-            series = self._series.get(key)
-            if series is None:
-                series = self._series[key] = _HistogramSeries(len(self.bounds) + 1)
-            # bisect_left finds the first bound >= value, which is
-            # exactly Prometheus's ``value <= le`` bucket; past the last
-            # bound it returns len(bounds), the +Inf slot.
-            series.bucket_counts[bisect_left(self.bounds, value)] += 1
-            series.sum += value
-            series.count += 1
+            self._observe(key, value)
 
-    def labels(self, **labels: Any) -> "_BoundHistogram":
-        """A child bound to ``labels``: skips key-building on every observe."""
-        key = self._key(labels)
-        with self._lock:
-            series = self._series.get(key)
-            if series is None:
-                series = self._series[key] = _HistogramSeries(len(self.bounds) + 1)
-        return _BoundHistogram(self, series)
+    def _series_at(self, key: Tuple[str, ...]) -> _HistogramSeries:
+        # The caller holds the lock and has resolved the labels.
+        series = self._series.get(key)
+        if series is None:
+            series = self._series[key] = _HistogramSeries(len(self.bounds) + 1)
+        return series
+
+    def _observe(self, key: Tuple[str, ...], value: float) -> None:
+        series = self._series_at(key)
+        # bisect_left finds the first bound >= value, which is exactly
+        # Prometheus's ``value <= le`` bucket; past the last bound it
+        # returns len(bounds), the +Inf slot.
+        series.bucket_counts[bisect_left(self.bounds, value)] += 1
+        series.sum += value
+        series.count += 1
 
     def _series_snapshot(self) -> List[Dict[str, Any]]:
         rows = []
@@ -282,6 +282,7 @@ class Histogram(_Instrument):
         lines = [f"# HELP {self.name} {self.help_text}",
                  f"# TYPE {self.name} histogram"]
         with self._lock:
+            self._registry._fold_pending()
             for key in sorted(self._series):
                 series = self._series[key]
                 cumulative = 0
@@ -304,6 +305,11 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.RLock()
         self._instruments: Dict[str, _Instrument] = {}
+        #: Probe events not yet folded into their series (see the module
+        #: docstring).  Reporters append, then call :meth:`fold` once
+        #: :data:`PENDING_EVENTS` are queued; folds pop under the lock
+        #: and call ``event[0](event)``, which may touch series directly.
+        self._pending: "deque[Event]" = deque()
 
     def _register(self, cls, name: str, help_text: str,
                   labels: Sequence[str], **kwargs) -> _Instrument:
@@ -322,7 +328,7 @@ class MetricsRegistry:
                         f"metric {name!r} already registered as "
                         f"{existing.kind} with labels {existing.label_names}")
                 return existing
-            instrument = cls(name, help_text, label_names, self._lock, **kwargs)
+            instrument = cls(name, help_text, label_names, self, **kwargs)
             self._instruments[name] = instrument
             return instrument
 
@@ -342,28 +348,20 @@ class MetricsRegistry:
 
     def get(self, name: str) -> Optional[_Instrument]:
         with self._lock:
+            self._fold_pending()
             return self._instruments.get(name)
 
-    def add_counts(self, children: Sequence[_BoundCounter],
-                   amounts: Sequence[float]) -> None:
-        """Add ``amounts[i]`` to ``children[i]``, skipping zeros.
-
-        One event often moves a dozen counters (a finished chase reports
-        every work counter); every instrument of a registry shares its
-        lock, so taking it once here instead of once per ``inc`` keeps
-        the reporting cost flat (benchmark E20).  The counters must
-        belong to this registry.
-        """
+    def fold(self) -> None:
+        """Fold every queued event into its series now."""
         with self._lock:
-            for child, amount in zip(children, amounts):
-                if not amount:
-                    continue
-                if amount < 0:
-                    raise MetricError(
-                        f"counter {child._instrument.name!r} cannot decrease "
-                        f"(inc by {amount})")
-                series = child._instrument._series
-                series[child._key] = series.get(child._key, 0) + amount
+            self._fold_pending()
+
+    def _fold_pending(self) -> None:
+        # The caller holds the lock, so only one thread pops at a time.
+        pending = self._pending
+        while pending:
+            event = pending.popleft()
+            event[0](event)
 
     def names(self) -> List[str]:
         with self._lock:
@@ -372,12 +370,14 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, Any]:
         """Every family with every series, JSON-ready (the ``obs.metrics`` body)."""
         with self._lock:
+            self._fold_pending()
             instruments = dict(self._instruments)
         return {name: instruments[name].snapshot() for name in sorted(instruments)}
 
     def render_prometheus(self) -> str:
         """The text exposition format, one family after another."""
         with self._lock:
+            self._fold_pending()
             instruments = dict(self._instruments)
         lines: List[str] = []
         for name in sorted(instruments):
@@ -385,8 +385,9 @@ class MetricsRegistry:
         return "\n".join(lines) + ("\n" if lines else "")
 
     def reset(self) -> None:
-        """Drop every series (families stay registered) — for tests."""
+        """Drop every series and queued event (families stay) — for tests."""
         with self._lock:
+            self._pending.clear()
             for instrument in self._instruments.values():
                 instrument._series.clear()
 

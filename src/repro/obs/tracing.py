@@ -13,12 +13,18 @@ that context (:meth:`Tracer.start_trace`), and the code it runs opens
 **child spans** for its phases (:func:`maybe_span`): parse, cache
 lookup, termination analysis, chase, homomorphism search.  Finished
 traces land in the process's :class:`TraceStore` ring buffer, queryable
-via the ``obs.trace`` protocol op (spans are serialized when read, so a
-trace nobody looks at never pays for it); a worker additionally returns its
+via the ``obs.trace`` protocol op; a worker additionally returns its
 serialized spans in the response envelope when the context asked to
 ``collect``, which is how a coordinator absorbs a node's spans into its
 own store — one ``obs.trace`` lookup at the coordinator then shows the
 whole cross-process tree.
+
+A request pays only for timing its spans.  Everything a reader needs
+is worked out when the store is read: a span's id is minted when first
+read, a child's wall-clock start is derived from its root's, spans are
+serialized on read, and the store merges and evicts finished traces
+when it is next read, not when they finish.  A trace nobody looks at
+therefore never mints an id or builds a dict.
 
 The current span travels in a :mod:`contextvars` variable, so it is
 isolated per thread *and* per asyncio task.  When no trace is active,
@@ -39,7 +45,7 @@ import threading
 from collections import OrderedDict, deque
 from itertools import count
 from contextvars import ContextVar
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.clock import monotonic, wall_time
 from repro.obs.metrics import get_registry
@@ -89,29 +95,69 @@ def new_span_id() -> str:
 
 
 class Span:
-    """One timed phase of one trace; children reference it by ``span_id``."""
+    """One timed phase of one trace, and the context manager that times it.
 
-    __slots__ = ("trace_id", "span_id", "parent_id", "name", "start_s",
-                 "duration_s", "tags", "_root", "_sink", "_dropped",
-                 "_start_mono")
+    A *root* span (:meth:`Tracer.start_trace`) is one process's view of a
+    trace: it holds the trace's span list (``_sink``, itself first), the
+    tracer's per-trace span cap, read once, and the count of children
+    the cap dropped, and hands the finished list to its tracer on exit.
+    A *child* (:func:`maybe_span`) links to its parent span and root.
+    Those two functions build spans, setting the fields in place (one
+    call per span on the request path); a span starts when it is built
+    and ends when its ``with`` block exits, so build it in the ``with``
+    statement.
 
-    def __init__(self, trace_id: str, span_id: str, parent_id: Optional[str],
-                 name: str, tags: Optional[Dict[str, Any]] = None):
-        self.trace_id = trace_id
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.name = name
-        self.start_s = wall_time()
-        self._start_mono = monotonic()
-        self.duration_s: Optional[float] = None
-        self.tags: Dict[str, Any] = tags if tags is not None else {}
-        self._root: "Span" = self
-        self._sink: Optional[List["Span"]] = None
-        self._dropped = 0
+    What only a reader needs is worked out when first read: ``span_id``
+    and a root's unadopted ``trace_id`` are minted then, under a lock so
+    racing readers agree, ``parent_id`` is the parent's ``span_id``, and
+    a child's wall-clock ``start_s`` is the root's plus the child's
+    monotonic offset from it.
+    """
 
-    def finish(self) -> None:
-        if self.duration_s is None:
-            self.duration_s = monotonic() - self._start_mono
+    __slots__ = ("name", "tags", "duration_s", "_root", "_parent",
+                 "_span_id", "_start_mono", "_token",
+                 # Root spans only:
+                 "_trace_id", "_start_s", "_tracer", "_sink", "_cap",
+                 "_dropped")
+
+    def __enter__(self) -> "Span":
+        self._token = _CURRENT.set(self)
+        return self
+
+    def __exit__(self, *exc_info: Any) -> bool:
+        self.duration_s = monotonic() - self._start_mono
+        _CURRENT.reset(self._token)
+        if self._root is self:
+            self._tracer._finish_trace(self)
+        return False
+
+    @property
+    def trace_id(self) -> str:
+        root = self._root
+        if root._trace_id is None:
+            with _MINT_LOCK:
+                if root._trace_id is None:
+                    root._trace_id = new_trace_id()
+        return root._trace_id
+
+    @property
+    def span_id(self) -> str:
+        if self._span_id is None:
+            with _MINT_LOCK:
+                if self._span_id is None:
+                    self._span_id = new_span_id()
+        return self._span_id
+
+    @property
+    def parent_id(self) -> Optional[str]:
+        parent = self._parent
+        return parent.span_id if isinstance(parent, Span) else parent
+
+    @property
+    def start_s(self) -> float:
+        """Epoch seconds at which the span started."""
+        root = self._root
+        return root._start_s + (self._start_mono - root._start_mono)
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -141,40 +187,12 @@ class _NullSpanContext:
 _NULL_SPAN_CONTEXT = _NullSpanContext()
 _CURRENT: "ContextVar[Optional[Span]]" = ContextVar("repro_obs_span",
                                                     default=None)
+_MINT_LOCK = threading.Lock()
+_new_span = object.__new__
 
 
 def current_span() -> Optional[Span]:
     return _CURRENT.get()
-
-
-class _SpanContext:
-    """Context manager for one child span under an active trace."""
-
-    __slots__ = ("_parent", "_name", "_tags", "_span", "_token")
-
-    def __init__(self, parent: Span, name: str, tags: Dict[str, Any]):
-        self._parent = parent
-        self._name = name
-        self._tags = tags
-
-    def __enter__(self) -> Optional[Span]:
-        root = self._parent._root
-        span = Span(root.trace_id, new_span_id(), self._parent.span_id,
-                    self._name, self._tags)
-        span._root = root
-        sink = root._sink
-        if sink is not None and len(sink) < get_tracer().max_spans_per_trace:
-            sink.append(span)
-        else:
-            root._dropped += 1
-        self._span = span
-        self._token = _CURRENT.set(span)
-        return span
-
-    def __exit__(self, *exc_info: Any) -> bool:
-        _CURRENT.reset(self._token)
-        self._span.finish()
-        return False
 
 
 def maybe_span(name: str, **tags: Any) -> Any:
@@ -186,36 +204,20 @@ def maybe_span(name: str, **tags: Any) -> Any:
     parent = _CURRENT.get()
     if parent is None:
         return _NULL_SPAN_CONTEXT
-    return _SpanContext(parent, name, tags)
-
-
-class _TraceContext:
-    """Context manager for a root span (one process's view of a trace)."""
-
-    __slots__ = ("_tracer", "_name", "_trace_id", "_parent_id", "_tags",
-                 "_span", "_token")
-
-    def __init__(self, tracer: "Tracer", name: str, trace_id: Optional[str],
-                 parent_id: Optional[str], tags: Dict[str, Any]):
-        self._tracer = tracer
-        self._name = name
-        self._trace_id = trace_id
-        self._parent_id = parent_id
-        self._tags = tags
-
-    def __enter__(self) -> Span:
-        span = Span(self._trace_id or new_trace_id(), new_span_id(),
-                    self._parent_id, self._name, self._tags)
-        span._sink = [span]
-        self._span = span
-        self._token = _CURRENT.set(span)
-        return span
-
-    def __exit__(self, *exc_info: Any) -> bool:
-        _CURRENT.reset(self._token)
-        self._span.finish()
-        self._tracer._finish_trace(self._span)
-        return False
+    span = _new_span(Span)
+    span.name = name
+    span.tags = tags
+    span.duration_s = None
+    span._span_id = None
+    span._parent = parent
+    span._root = root = parent._root
+    sink = root._sink
+    if len(sink) < root._cap:
+        sink.append(span)
+    else:
+        root._dropped += 1
+    span._start_mono = monotonic()
+    return span
 
 
 #: A stored span: this process's own finished :class:`Span`, or the dict
@@ -239,30 +241,58 @@ class TraceStore:
     merged onto it; the oldest traces fall off the end.  This process's
     own spans are kept as finished :class:`Span` objects and serialized
     only when read, so recording a trace costs no per-span conversion.
+
+    :meth:`record` only queues the spans; every read folds the queue in
+    first, in order, under the store's lock, as does a :meth:`record`
+    that finds ``max_traces`` entries queued.  A finished request thus
+    pays one ``deque.append``, and the merging and eviction run when the
+    store is read.
     """
 
     def __init__(self, max_traces: int = 512):
         self._max_traces = max_traces
         self._lock = threading.Lock()
         self._traces: "OrderedDict[str, List[StoredSpan]]" = OrderedDict()
+        self._pending: "deque[Tuple[Optional[str], Sequence[StoredSpan]]]" = (
+            deque())
 
-    def record(self, trace_id: str, spans: Sequence[StoredSpan]) -> None:
-        if not spans:
-            return
-        with self._lock:
-            existing = self._traces.get(trace_id)
+    def record(self, trace_id: Optional[str],
+               spans: Sequence[StoredSpan]) -> None:
+        """Queue ``spans`` for ``trace_id``.
+
+        ``None`` stands for the trace of ``spans[0]``, a finished root of
+        this process, whose id is read (and, if unadopted, minted) only
+        when the queue is folded.
+        """
+        pending = self._pending
+        pending.append((trace_id, spans))
+        if len(pending) >= self._max_traces:
+            with self._lock:
+                self._fold_pending()
+
+    def _fold_pending(self) -> None:
+        # The caller holds the lock, so only one thread pops at a time.
+        pending, traces = self._pending, self._traces
+        while pending:
+            trace_id, spans = pending.popleft()
+            if not spans:
+                continue
+            if trace_id is None:
+                trace_id = spans[0].trace_id
+            existing = traces.get(trace_id)
             if existing is None:
-                self._traces[trace_id] = list(spans)
+                traces[trace_id] = list(spans)
             else:
                 known = {_span_id(span) for span in existing}
                 existing.extend(span for span in spans
                                 if _span_id(span) not in known)
-            self._traces.move_to_end(trace_id)
-            while len(self._traces) > self._max_traces:
-                self._traces.popitem(last=False)
+                traces.move_to_end(trace_id)
+            if len(traces) > self._max_traces:
+                traces.popitem(last=False)
 
     def get(self, trace_id: str) -> Optional[List[Dict[str, Any]]]:
         with self._lock:
+            self._fold_pending()
             spans = self._traces.get(trace_id)
             if spans is None:
                 return None
@@ -272,6 +302,7 @@ class TraceStore:
     def recent(self, limit: int = 20) -> List[Dict[str, Any]]:
         """Newest-first summaries: trace id, root name, duration, span count."""
         with self._lock:
+            self._fold_pending()
             items = [(trace_id, list(spans)) for trace_id, spans
                      in list(self._traces.items())[-max(0, limit):]]
         summaries = []
@@ -289,10 +320,12 @@ class TraceStore:
 
     def __len__(self) -> int:
         with self._lock:
+            self._fold_pending()
             return len(self._traces)
 
     def clear(self) -> None:
         with self._lock:
+            self._pending.clear()
             self._traces.clear()
 
 
@@ -352,16 +385,30 @@ class Tracer:
         self.slow_log = slow_log if slow_log is not None else SlowOpLog()
 
     def start_trace(self, name: str, trace_id: Optional[str] = None,
-                    parent_id: Optional[str] = None,
-                    **tags: Any) -> _TraceContext:
-        """Open a root span (minting a trace id unless adopting one)."""
-        return _TraceContext(self, name, trace_id, parent_id, tags)
+                    parent_id: Optional[str] = None, **tags: Any) -> Span:
+        """A root span to enter (a trace id is minted unless adopted)."""
+        root = _new_span(Span)
+        root.name = name
+        root.tags = tags
+        root.duration_s = None
+        root._span_id = None
+        # A root's parent is a span of another process, known by id only.
+        root._parent = parent_id
+        root._root = root
+        root._trace_id = trace_id
+        root._tracer = self
+        root._sink = [root]
+        root._cap = self.max_spans_per_trace
+        root._dropped = 0
+        root._start_s = wall_time()
+        root._start_mono = monotonic()
+        return root
 
     def _finish_trace(self, root: Span) -> None:
-        sink = root._sink or [root]
+        sink = root._sink
         if root._dropped:
             root.tags["spans_dropped"] = root._dropped
-        self.store.record(root.trace_id, sink)
+        self.store.record(None, sink)
         self.slow_log.offer(root, sink)
 
     def absorb(self, trace_id: str, spans: List[Dict[str, Any]]) -> None:

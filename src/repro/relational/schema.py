@@ -18,6 +18,12 @@ from repro.relational.attribute import Attribute, AttributeSpec, coerce_attribut
 
 AttributeRef = Union[str, int]
 
+#: The delimiters of :meth:`DatabaseSchema.signature_text`.  A name
+#: containing one could make two different schemas render the same text
+#: (``R(a,b)`` for one attribute ``a,b`` and for ``a`` then ``b``), and
+#: fingerprints and the dependency set's memos key on that text.
+_SIGNATURE_DELIMITERS = frozenset("(),;")
+
 
 @dataclass(frozen=True)
 class RelationSchema:
@@ -35,6 +41,11 @@ class RelationSchema:
         names = [a.name for a in attrs]
         if len(set(names)) != len(names):
             raise SchemaError(f"relation {name!r} has duplicate attribute names: {names}")
+        for label in (name, *names):
+            if not _SIGNATURE_DELIMITERS.isdisjoint(label):
+                raise SchemaError(
+                    f"relation {name!r}: name {label!r} contains one of "
+                    "'(', ')', ',' or ';'")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "attributes", attrs)
 
@@ -193,11 +204,11 @@ class DatabaseSchema:
         """A hashable content projection of the schema.
 
         Two schemas whose relations have the same names and attribute
-        names (in order) share a signature; content-addressed caches
-        (dependency classification and validation, the compiled chase
-        plan) key on it so mutating a schema in place cannot serve stale
-        entries.  Each call walks every relation; fingerprints read the
-        memoised :meth:`signature_text` instead.
+        names (in order) share a signature.  Each call walks every
+        relation, so content-addressed caches (fingerprints, dependency
+        classification and validation, the compiled chase plan) key on
+        the memoised :meth:`signature_text` instead, which renders this
+        tuple once.
         """
         return tuple(
             (relation.name, relation.attribute_names) for relation in self)
@@ -207,11 +218,15 @@ class DatabaseSchema:
 
         Relations appear in insertion order.  Every fingerprint in
         :mod:`repro.api.fingerprints` embeds this text, so changing the
-        format changes every stored cache key.  It is rendered on first
-        use and memoised until :meth:`add`; the service's tenant parser
-        hands every request of a tenant the same schema, so each tenant
-        is rendered once.  Racing first renders store the same immutable
-        string; a schema must not be mutated while it is shared.
+        format changes every stored cache key, and the dependency set
+        keys its per-schema memos on it.  Names cannot contain the
+        delimiters ``(``, ``)``, ``,`` or ``;``, so the text tells
+        schemas apart exactly as :meth:`signature` does.  It is rendered
+        on first use and memoised until :meth:`add`; the service's
+        tenant parser hands every request of a tenant the same schema,
+        so each tenant is rendered once.  Racing first renders store the
+        same immutable string; a schema must not be mutated while it is
+        shared.
         """
         if self._signature_text is None:
             self._signature_text = ";".join(

@@ -84,6 +84,19 @@ class CatalogIndex:
     def __len__(self) -> int:
         return len(self.view_names)
 
+    def indexes(self, catalog: ViewCatalog) -> bool:
+        """True when this index was built from ``catalog``'s views.
+
+        Compares view names, in order, and each view's memoised
+        signature, so an index built before a later ``add`` (or over
+        another catalog) is caught instead of silently pruning views.
+        """
+        if self.view_names != tuple(view.name for view in catalog):
+            return False
+        return all(view_signature(view) == (self._required[view.name],
+                                            self._constants[view.name])
+                   for view in catalog)
+
     def probe(self, chase_atoms: Sequence[Conjunct]) -> Set[str]:
         """Names of the views whose signature the chased atoms satisfy."""
         present: Set[RelationKey] = set()

@@ -361,7 +361,15 @@ class BucketedRewriter:
         return self.statistics.combos_pruned_unsafe
 
     def select_views(self, catalog, chase_atoms, catalog_index):
-        index = catalog_index if catalog_index is not None else catalog.index()
+        if catalog_index is None:
+            index = catalog.index()
+        elif catalog_index.indexes(catalog):
+            index = catalog_index
+        else:
+            raise ViewError(
+                "catalog_index was not built from this catalog's views; "
+                "rebuild it with build_catalog_index(catalog) after the "
+                "catalog changes")
         survivors = index.probe(chase_atoms)
         selected = [view for view in catalog if view.name in survivors]
         self.views_pruned = len(catalog) - len(selected)
@@ -426,7 +434,9 @@ def rewrite_with_views(query: ConjunctiveQuery,
     ``"exhaustive"``); ``catalog_index`` optionally supplies a prebuilt
     :class:`~repro.views.index.CatalogIndex` for the catalog —
     index-using strategies otherwise probe the catalog's own
-    (:meth:`~repro.views.view.ViewCatalog.index`).
+    (:meth:`~repro.views.view.ViewCatalog.index`), and raise
+    :class:`~repro.exceptions.ViewError` for a supplied index that was
+    not built from this catalog's current views.
 
     ``containment_options`` are the legacy containment keywords.  Applied
     to the solver's config together with the budgets above, they govern

@@ -13,7 +13,8 @@ version cheap without changing any answer:
   fingerprint parses no view at all;
 * versions parsed by one parser share the derived parts (relation
   schema, index signature) of every view they have in common;
-* :meth:`ViewCatalog.add` drops the catalog's memos, and views and
+* :meth:`ViewCatalog.add` drops the catalog's memos, a caller's index
+  built before the ``add`` is refused rather than probed, and views and
   catalogs pickled without them digest identically and build the
   missing parts on first use;
 * threads sharing one evicting parser never see a ``KeyError`` and agree
@@ -32,12 +33,13 @@ import time
 import pytest
 
 from repro.api.fingerprints import catalog_fingerprint, view_fingerprint
-from repro.exceptions import ParseError
+from repro.exceptions import ParseError, ViewError
 from repro.parser import parse_query, parse_schema
 from repro.parser import view_parser
 from repro.parser.view_parser import parse_views
 from repro.service import ShardedSolverPool, TenantParser
-from repro.views.index import view_signature
+from repro.views.index import build_catalog_index, view_signature
+from repro.views.rewriting import rewrite_with_views
 from repro.views.view import View
 
 SCHEMA = "EMP(emp, sal, dept)\nDEP(dept, loc)"
@@ -203,6 +205,29 @@ class TestInvalidation:
         assert views.index() is not index
         assert views.index().view_names == ("V1", "V2", "V3")
         assert index.view_names == ("V1", "V2")
+
+    def test_an_index_built_before_an_add_is_refused(self):
+        schema = parse_schema(SCHEMA)
+        views = parse_views(LINES[1], schema)
+        stale = build_catalog_index(views)
+        views.add(View("V1", parse_query(LINES[0], schema)))
+        query = parse_query("Q(e, l) :- EMP(e, s, d), DEP(d, l)", schema)
+        own = rewrite_with_views(query, views, strategy="bucketed")
+        assert own.views_pruned == 0
+        expected = [("V1",), ("V2",), ("V1", "V2")]
+        assert [rewriting.view_names for rewriting in own.rewritings] == expected
+        # Probing the stale index would prune V1 and drop two rewritings.
+        with pytest.raises(ViewError, match="not built from this catalog"):
+            rewrite_with_views(query, views, strategy="bucketed",
+                               catalog_index=stale)
+        # An index of the current views, or of an equal copy, is accepted.
+        for index in (build_catalog_index(views),
+                      build_catalog_index(parse_views(
+                          "\n".join(LINES[1::-1]), parse_schema(SCHEMA)))):
+            report = rewrite_with_views(query, views, strategy="bucketed",
+                                        catalog_index=index)
+            assert [rewriting.view_names
+                    for rewriting in report.rewritings] == expected
 
 
 class TestPickles:

@@ -14,6 +14,8 @@ import dataclasses
 import json
 import re
 import socket
+import sys
+import threading
 import time
 from pathlib import Path
 
@@ -253,6 +255,81 @@ class TestTracing:
         spans = tracer.store.get(root.trace_id)
         assert len(spans) == 3  # root + 2 children
         assert root.tags["spans_dropped"] == 3
+
+    def test_span_documents_keep_their_shape(self):
+        tracer = Tracer()
+        adopted_parent = new_span_id()
+        with tracer.start_trace("root", parent_id=adopted_parent,
+                                op="contain") as root:
+            with maybe_span("child", key="value") as child:
+                with maybe_span("grandchild"):
+                    pass
+            with maybe_span("sibling"):
+                pass
+        # Ids are minted when first read, then stay put.
+        assert child._span_id is None
+        child_id = child.span_id
+        assert child.span_id == child_id
+        spans = tracer.store.get(root.trace_id)
+        assert [span["name"] for span in spans] == [
+            "root", "child", "grandchild", "sibling"]
+        assert all(set(span) == {"trace_id", "span_id", "parent_id", "name",
+                                 "start_s", "duration_s", "tags"}
+                   for span in spans)
+        assert re.fullmatch(r"[0-9a-f]{32}", root.trace_id)
+        assert all(span["trace_id"] == root.trace_id for span in spans)
+        ids = [span["span_id"] for span in spans]
+        assert all(re.fullmatch(r"[0-9a-f]{16}", span_id) for span_id in ids)
+        assert len(set(ids)) == 4 and ids[1] == child_id
+        assert [span["parent_id"] for span in spans] == [
+            adopted_parent, ids[0], ids[1], ids[0]]
+        starts = [span["start_s"] for span in spans]
+        assert starts == sorted(starts)
+        assert abs(starts[0] - time.time()) < 60
+        assert spans[0]["tags"] == {"op": "contain"}
+        assert spans[1]["tags"] == {"key": "value"}
+
+    def test_racing_first_reads_agree_on_a_span_id(self):
+        tracer = Tracer()
+        workers = 8
+        saved_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                with tracer.start_trace("root"):
+                    with maybe_span("child") as child:
+                        pass
+                start = threading.Barrier(workers)
+                seen = []
+
+                def read():
+                    start.wait(timeout=10)
+                    seen.append((child.span_id, child.parent_id))
+
+                threads = [threading.Thread(target=read, daemon=True)
+                           for _ in range(workers)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert seen == [(child.span_id, child.parent_id)] * workers
+        finally:
+            sys.setswitchinterval(saved_interval)
+
+    def test_store_folds_queued_traces_on_every_read(self):
+        store = TraceStore(max_traces=3)
+        for index in range(7):
+            store.record(f"t{index}", [{"span_id": str(index)}])
+            assert len(store._pending) < 3
+        assert len(store) == 3
+        assert [entry["trace_id"] for entry in store.recent()] == [
+            "t6", "t5", "t4"]
+        store.record("t4", [{"span_id": "again"}])
+        assert [span["span_id"] for span in store.get("t4")] == ["4", "again"]
+        store.record("t7", [{"span_id": "7"}])
+        store.clear()
+        assert len(store) == 0 and store.get("t7") is None
 
     def test_store_merges_and_evicts(self):
         store = TraceStore(max_traces=2)

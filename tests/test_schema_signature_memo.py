@@ -9,7 +9,10 @@ memoises on the schema.  These tests pin the memo's obligations:
 * fingerprinting many queries over one schema renders its text once;
 * :meth:`DatabaseSchema.add` drops the memo;
 * a schema pickled before the memo existed unpickles without it and
-  fingerprints identically, and racing first renders agree.
+  fingerprints identically, and racing first renders agree;
+* the text identifies the schema: names holding one of its delimiters
+  are refused, so two schemas with different signatures never render
+  the same text.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ import pickle
 import sys
 import threading
 
+import pytest
+
 from repro.api.fingerprints import (
     catalog_fingerprint,
     dependency_fingerprint,
@@ -26,9 +31,11 @@ from repro.api.fingerprints import (
     schema_fingerprint,
     schema_signature,
 )
+from repro.containment.serialization import schema_from_dict
+from repro.exceptions import SchemaError
 from repro.parser import parse_dependencies, parse_query, parse_schema
 from repro.parser.view_parser import parse_views
-from repro.relational.schema import DatabaseSchema
+from repro.relational.schema import DatabaseSchema, RelationSchema
 
 SCHEMA = "EMP(emp, sal, dept)\nDEP(dept, loc)"
 QUERIES = (
@@ -125,6 +132,31 @@ class TestPickles:
         restored.add_relation("LOC", ["loc", "city"])
         assert (schema_fingerprint(restored)
                 == schema_fingerprint(parse_schema(SCHEMA + "\nLOC(loc, city)")))
+
+
+class TestTextIdentifiesTheSchema:
+    def test_a_delimiter_in_a_name_is_refused(self):
+        # One attribute "a,b" would render R(a,b) like attributes a and b,
+        # though the two signatures differ.
+        with pytest.raises(SchemaError, match="contains one of"):
+            DatabaseSchema.from_dict({"R": ["a,b"]})
+        split = DatabaseSchema.from_dict({"R": ["a", "b"]})
+        assert split.signature() == (("R", ("a", "b")),)
+        assert split.signature_text() == "R(a,b)"
+        for relation, attributes in (("R(x", ["a"]), ("R)", ["a"]),
+                                     ("R,S", ["a"]), ("R;S", ["a"]),
+                                     ("R", ["a("]), ("R", ["a)"]),
+                                     ("R", ["b", "a;S(c"])):
+            with pytest.raises(SchemaError):
+                RelationSchema(relation, attributes)
+            with pytest.raises(SchemaError):
+                schema_from_dict({"relations": [
+                    {"name": relation, "attributes": attributes}]})
+
+    def test_the_pinned_digests_still_hold(self):
+        schema, queries = tenant()
+        assert schema_fingerprint(schema) == SCHEMA_DIGEST
+        assert tuple(map(query_fingerprint, queries)) == QUERY_DIGESTS
 
 
 class TestConcurrentFirstRender:
