@@ -71,14 +71,24 @@ def query_fingerprint(query: ConjunctiveQuery) -> str:
 
     The display name is excluded (renaming a query does not change what it
     computes); everything equality looks at is included, with conjuncts
-    sorted so insertion order cannot split the cache.
+    sorted so insertion order cannot split the cache.  Memoised on the
+    query together with the schema text it embeds, and reused only
+    while that exact text object is still the schema's memo: adding a
+    relation to the schema replaces the text, so the next call digests
+    again.  Racing first digests store equal values.
     """
+    schema_text = schema_signature(query.input_schema)
+    memo = query._digest
+    if memo is not None and memo[0] is schema_text:
+        return memo[1]
     payload = "\n".join((
-        schema_signature(query.input_schema),
+        schema_text,
         ",".join(term_signature(term) for term in query.summary_row),
         "\n".join(sorted(conjunct_signature(c) for c in query.conjuncts)),
     ))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    query._digest = (schema_text, digest)
+    return digest
 
 
 def dependency_fingerprint(dependencies: Optional[DependencySet]) -> str:

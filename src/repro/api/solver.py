@@ -267,9 +267,10 @@ class Solver:
         if not cacheable or (cache.maxsize == 0 and self._persistent is None):
             return compute(), False
         key = key_of()
-        with maybe_span("cache.lookup", cache=namespace) as span:
+        with maybe_span("cache.lookup") as span:
             value = cache.get(key)
             if span is not None:
+                span.tags["cache"] = namespace
                 span.tags["hit"] = value is not None
         if value is not None:
             return value, True

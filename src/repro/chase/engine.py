@@ -348,7 +348,9 @@ def run_with_instrumentation(engine) -> ChaseResult:
     if probe is None and current_span() is None:
         return engine._run()
     started = monotonic()
-    with maybe_span("chase.run", engine=engine.engine_name) as span:
+    with maybe_span("chase.run") as span:
+        if span is not None:
+            span.tags["engine"] = engine.engine_name
         result = engine._run()
         elapsed = monotonic() - started
         conjuncts = len(result)

@@ -34,6 +34,12 @@ to target entries: the required bindings first, then the bindings of the
 search path in the order they were made (within one atom, in the order
 its variables first occur).  Constants are never included in the
 mapping; they are checked against the target facts during matching.
+
+A search's state (candidate lists, assignment, trail, the solutions
+seen) lives until its generator finishes or is closed, and is then
+freed by reference counting, not left for the cycle collector.  A
+consumer that stops early frees it by closing the generator or simply
+dropping it, as ``next(search, None)`` does.
 """
 
 from __future__ import annotations
@@ -228,9 +234,15 @@ def _iter_homomorphisms(problem: HomomorphismProblem) -> Iterator[Assignment]:
             values[variable] = _UNBOUND
         del trail[-len(fresh):]
 
-    yield from backtrack([index for index, atom_slots in enumerate(slots)
-                          if any(values[variable] is _UNBOUND
-                                 for _, variable in atom_slots)])
+    try:
+        yield from backtrack([index for index, atom_slots in enumerate(slots)
+                              if any(values[variable] is _UNBOUND
+                                     for _, variable in atom_slots)])
+    finally:
+        # ``backtrack`` reaches itself through its closure cell; emptying
+        # the cell breaks that cycle, so the search's state is freed by
+        # reference counting once the generator finishes or is closed.
+        del backtrack
 
 
 def find_homomorphism(problem: HomomorphismProblem) -> Optional[Assignment]:
@@ -239,8 +251,9 @@ def find_homomorphism(problem: HomomorphismProblem) -> Optional[Assignment]:
     Reports its one search to the probe itself, with 1 or 0 solutions
     found, so a single search needs no :func:`_iter_counted` wrapper.
     """
-    with maybe_span("homomorphism.search",
-                    atoms=len(problem.source_atoms)) as span:
+    with maybe_span("homomorphism.search") as span:
+        if span is not None:
+            span.tags["atoms"] = len(problem.source_atoms)
         assignment = next(_iter_homomorphisms(problem), None)
         found = assignment is not None
         if span is not None:

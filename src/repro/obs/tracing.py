@@ -32,6 +32,14 @@ isolated per thread *and* per asyncio task.  When no trace is active,
 null context — near-zero, which is what lets the chase hot path stay
 instrumented unconditionally.
 
+Nothing in a finished trace refers back into it: spans link only to
+their parent and root, and a root lets go of its span list when it
+hands it to the store.  A trace therefore lives exactly as long as the
+store (or the slow log) keeps it, and is freed by reference counting
+when evicted.  A child opened from a context copied before its root
+finished (an asyncio task spawned inside the trace) is timed as usual
+but recorded nowhere.
+
 Outlier capture: a root span slower than the tracer's
 ``slow_op_threshold_s`` is copied — full span tree included — into the
 :class:`SlowOpLog`, so "why was *that* request slow" is answerable after
@@ -101,11 +109,17 @@ class Span:
     trace: it holds the trace's span list (``_sink``, itself first), the
     tracer's per-trace span cap, read once, and the count of children
     the cap dropped, and hands the finished list to its tracer on exit.
-    A *child* (:func:`maybe_span`) links to its parent span and root.
-    Those two functions build spans, setting the fields in place (one
-    call per span on the request path); a span starts when it is built
-    and ends when its ``with`` block exits, so build it in the ``with``
+    A *child* (:func:`maybe_span`) links to its parent span and root; a
+    root's ``_root`` is ``None``, read as the root itself.  Those two
+    functions build spans, setting the fields in place (one call per
+    span on the request path); a span starts when it is built and ends
+    when its ``with`` block exits, so build it in the ``with``
     statement.
+
+    A finished span keeps its fields and its links to its parent and
+    root: its context-variable token is dropped on exit, and a finished
+    root's span list is held by the store and the slow log, not by the
+    root.
 
     What only a reader needs is worked out when first read: ``span_id``
     and a root's unadopted ``trace_id`` are minted then, under a lock so
@@ -127,13 +141,14 @@ class Span:
     def __exit__(self, *exc_info: Any) -> bool:
         self.duration_s = monotonic() - self._start_mono
         _CURRENT.reset(self._token)
-        if self._root is self:
+        self._token = None
+        if self._root is None:
             self._tracer._finish_trace(self)
         return False
 
     @property
     def trace_id(self) -> str:
-        root = self._root
+        root = self._root or self
         if root._trace_id is None:
             with _MINT_LOCK:
                 if root._trace_id is None:
@@ -156,7 +171,7 @@ class Span:
     @property
     def start_s(self) -> float:
         """Epoch seconds at which the span started."""
-        root = self._root
+        root = self._root or self
         return root._start_s + (self._start_mono - root._start_mono)
 
     def as_dict(self) -> Dict[str, Any]:
@@ -210,9 +225,9 @@ def maybe_span(name: str, **tags: Any) -> Any:
     span.duration_s = None
     span._span_id = None
     span._parent = parent
-    span._root = root = parent._root
+    span._root = root = parent._root or parent
     sink = root._sink
-    if len(sink) < root._cap:
+    if sink is not None and len(sink) < root._cap:
         sink.append(span)
     else:
         root._dropped += 1
@@ -394,7 +409,7 @@ class Tracer:
         root._span_id = None
         # A root's parent is a span of another process, known by id only.
         root._parent = parent_id
-        root._root = root
+        root._root = None
         root._trace_id = trace_id
         root._tracer = self
         root._sink = [root]
@@ -410,6 +425,9 @@ class Tracer:
             root.tags["spans_dropped"] = root._dropped
         self.store.record(None, sink)
         self.slow_log.offer(root, sink)
+        # The store holds the list now; a root that kept it too would
+        # close a cycle through its children's ``_root`` links.
+        root._sink = None
 
     def absorb(self, trace_id: str, spans: List[Dict[str, Any]]) -> None:
         """Merge spans serialized by another process into this store."""

@@ -41,6 +41,15 @@ class ConjunctiveQuery:
         Optional display name used in reports.
     """
 
+    #: Memo of :func:`~repro.api.fingerprints.query_fingerprint`: the
+    #: schema's :meth:`~DatabaseSchema.signature_text` object it was
+    #: computed under, and the digest.  A query never changes but its
+    #: schema can (``add`` replaces the text object), so the memo holds
+    #: only while that text is the schema's current one.  A class
+    #: attribute so queries pickled before the memo existed unpickle
+    #: without it and digest on first use.
+    _digest: Optional[Tuple[str, str]] = None
+
     def __init__(self, input_schema: DatabaseSchema,
                  conjuncts: Sequence[Conjunct],
                  summary_row: Sequence[Term],

@@ -24,17 +24,28 @@ differential sweep (exhaustive vs bucketed, same best cost) is the
 empirical certificate, exactly as PR 3/PR 9 certified the chase
 engines.  Combinations are enumerated smallest-first in the images'
 sort order, mirroring the exhaustive strategy's candidate order.
+
+Levels are streamed: each combination is checked and yielded as it is
+grown, and only a level that grows further is kept, as the list the
+next level extends.  The last level (size ``max_combination_size``) is
+never stored, and a consumer that stops early never grows the rest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.queries.conjunct import Conjunct
 from repro.terms.term import Term, Variable
 
 __all__ = ["BucketStatistics", "build_buckets", "iter_bucket_combinations"]
+
+#: One growing combination: (indices, covered labels, covered-atom
+#: variables, exposed variables).
+Entry = Tuple[Tuple[int, ...], FrozenSet[str], FrozenSet[Variable],
+              FrozenSet[Variable]]
+Level = List[Entry]
 
 
 @dataclass
@@ -92,36 +103,10 @@ def iter_bucket_combinations(images: Sequence,
         for variable in variables:
             exposing.setdefault(variable, []).append(position)
 
-    # (indices, covered labels, covered-atom variables, exposed variables)
-    Level = List[Tuple[Tuple[int, ...], FrozenSet[str], FrozenSet[Variable],
-                       FrozenSet[Variable]]]
-    current: Level = [
-        (
-            (position,),
-            images[position].covered_labels,
-            frozenset().union(*(
-                atom_variables[label]
-                for label in images[position].covered_labels)),
-            image_variables[position],
-        )
-        for position in range(len(images))
-    ]
-    size = 1
-    while current:
-        for indices, covered, covered_variables, exposed in current:
-            outside: Set[Variable] = set(summary_variables)
-            for label, variables in atom_variables.items():
-                if label not in covered:
-                    outside |= variables
-            if (covered_variables & outside) <= exposed:
-                statistics.combos_emitted += 1
-                yield tuple(images[position] for position in indices)
-            else:
-                statistics.combos_pruned_unsafe += 1
-        if size >= max_combination_size:
-            break
-        next_level: Level = []
-        for indices, covered, covered_variables, exposed in current:
+    def grown(level: Level) -> Iterator[Entry]:
+        """The next level: each entry extended by every later image that
+        covers a new subgoal or exposes a covered variable."""
+        for indices, covered, covered_variables, exposed in level:
             last = indices[-1]
             candidates: Set[int] = set()
             for label, members in buckets.items():
@@ -137,11 +122,42 @@ def iter_bucket_combinations(images: Sequence,
                 grown_variables = covered_variables.union(*(
                     atom_variables[label]
                     for label in images[position].covered_labels))
-                next_level.append((
+                yield (
                     indices + (position,),
                     grown_covered,
                     grown_variables,
                     exposed | image_variables[position],
-                ))
-        current = next_level
+                )
+
+    entries: Iterator[Entry] = (
+        (
+            (position,),
+            images[position].covered_labels,
+            frozenset().union(*(
+                atom_variables[label]
+                for label in images[position].covered_labels)),
+            image_variables[position],
+        )
+        for position in range(len(images))
+    )
+    size = 1
+    while True:
+        # Only a level that grows further is kept, for the next one.
+        kept: Optional[Level] = [] if size < max_combination_size else None
+        for entry in entries:
+            indices, covered, covered_variables, exposed = entry
+            outside: Set[Variable] = set(summary_variables)
+            for label, variables in atom_variables.items():
+                if label not in covered:
+                    outside |= variables
+            if (covered_variables & outside) <= exposed:
+                statistics.combos_emitted += 1
+                yield tuple(images[position] for position in indices)
+            else:
+                statistics.combos_pruned_unsafe += 1
+            if kept is not None:
+                kept.append(entry)
+        if not kept:
+            return
+        entries = grown(kept)
         size += 1

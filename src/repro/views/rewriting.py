@@ -229,9 +229,12 @@ def match_level(catalog: ViewCatalog) -> int:
     so chasing to the size of the largest body (with a floor of 2) exposes
     the matches that single foreign-key steps create.  Deeper matches are
     possible in contrived schemas; callers can raise the level explicitly.
+    Memoised on the catalog until its next ``add``.
     """
-    sizes = [len(view.definition) for view in catalog]
-    return max([2] + sizes)
+    if catalog._match_level is None:
+        sizes = [len(view.definition) for view in catalog]
+        catalog._match_level = max([2] + sizes)
+    return catalog._match_level
 
 
 def find_view_images(views: Sequence,

@@ -10,7 +10,8 @@ solver's rewrite cache.
 
 Each derived part lives on the object it is derived from and is built on
 first use: a view memoises its relation schema, index signature and
-fingerprint, a catalog its extended schema, index and fingerprint.
+fingerprint, a catalog its extended schema, index, fingerprint and
+default chase depth for view matching.
 Catalog versions that share a view therefore share that view's parts.
 
 Views are restricted to heads of pairwise distinct distinguished
@@ -136,11 +137,13 @@ class ViewCatalog:
     """An ordered, name-keyed collection of views over one base schema."""
 
     #: Memos of :func:`~repro.api.fingerprints.catalog_fingerprint`,
-    #: :meth:`extended_schema` and :meth:`index`, cleared by :meth:`add`.
+    #: :meth:`extended_schema`, :meth:`index` and
+    #: :func:`~repro.views.rewriting.match_level`, cleared by :meth:`add`.
     #: Class attributes for the same reason as :attr:`View._fingerprint`.
     _fingerprint: Optional[str] = None
     _extended_schema: Optional[DatabaseSchema] = None
     _index: Optional["repro.views.index.CatalogIndex"] = None
+    _match_level: Optional[int] = None
 
     def __init__(self, views: Optional[Iterable[View]] = None,
                  schema: Optional[DatabaseSchema] = None):
@@ -169,6 +172,7 @@ class ViewCatalog:
         self._fingerprint = None
         self._extended_schema = None
         self._index = None
+        self._match_level = None
         return self
 
     # -- container protocol ------------------------------------------------

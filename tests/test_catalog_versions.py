@@ -39,7 +39,7 @@ from repro.parser import view_parser
 from repro.parser.view_parser import parse_views
 from repro.service import ShardedSolverPool, TenantParser
 from repro.views.index import build_catalog_index, view_signature
-from repro.views.rewriting import rewrite_with_views
+from repro.views.rewriting import match_level, rewrite_with_views
 from repro.views.view import View
 
 SCHEMA = "EMP(emp, sal, dept)\nDEP(dept, loc)"
@@ -205,6 +205,16 @@ class TestInvalidation:
         assert views.index() is not index
         assert views.index().view_names == ("V1", "V2", "V3")
         assert index.view_names == ("V1", "V2")
+
+    def test_add_clears_the_match_level(self):
+        schema = parse_schema(SCHEMA)
+        views = parse_views("\n".join(LINES[:2]), schema)
+        assert match_level(views) == 2
+        assert views._match_level == 2
+        wide = "V5(e, l) :- EMP(e, s, d), DEP(d, l), DEP(d, m)"
+        views.add(View("V5", parse_query(wide, schema)))
+        assert views._match_level is None
+        assert match_level(views) == 3
 
     def test_an_index_built_before_an_add_is_refused(self):
         schema = parse_schema(SCHEMA)

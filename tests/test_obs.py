@@ -10,6 +10,7 @@ to end through a running service.
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import json
 import re
@@ -288,6 +289,40 @@ class TestTracing:
         assert abs(starts[0] - time.time()) < 60
         assert spans[0]["tags"] == {"op": "contain"}
         assert spans[1]["tags"] == {"key": "value"}
+
+    def test_a_finished_trace_keeps_no_token_and_no_span_list(self):
+        tracer = Tracer()
+        with tracer.start_trace("root") as root:
+            with maybe_span("child") as child:
+                with maybe_span("grandchild") as grandchild:
+                    pass
+            with maybe_span("sibling") as sibling:
+                pass
+        spans = [root, child, grandchild, sibling]
+        assert all(span._token is None for span in spans)
+        assert root._sink is None
+        # The store still holds the whole trace, in order.
+        assert [span["name"] for span in tracer.store.get(root.trace_id)] == [
+            "root", "child", "grandchild", "sibling"]
+
+    def test_a_child_opened_after_its_root_finished_does_not_raise(self):
+        """An asyncio task spawned inside a trace copies the context, so
+        it can open a span under a root that has since finished."""
+        tracer = Tracer()
+        with tracer.start_trace("root") as root:
+            with maybe_span("child"):
+                pass
+            context = contextvars.copy_context()
+
+        def late():
+            with maybe_span("late") as span:
+                assert span is not None and span.trace_id == root.trace_id
+            return span
+
+        span = context.run(late)
+        assert span.duration_s is not None and span._token is None
+        assert [stored["name"] for stored in tracer.store.get(root.trace_id)] == [
+            "root", "child"]
 
     def test_racing_first_reads_agree_on_a_span_id(self):
         tracer = Tracer()
