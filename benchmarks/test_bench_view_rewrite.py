@@ -7,9 +7,10 @@ views).  Claims checked alongside the timings:
 
 * every catalog size yields at least one certified rewriting, and the
   best rewriting has strictly fewer atoms than the original query;
-* rewriting is the first subsystem whose inner loop is *many* containment
-  calls, so the PR 1 caches must pay off: a warm (cached) pass over a
-  repeated workload is at least 2× faster than the cold pass.
+* a repeated rewrite is answered from the solver's rewrite cache, so a
+  warm pass over a repeated workload is at least 2× faster than the cold
+  pass (certification itself runs outside the answer caches: a cold
+  rewrite's expansions are fresh queries no later request can name).
 """
 
 from __future__ import annotations

@@ -9,11 +9,18 @@ answers, each optionally backed by a :class:`PersistentCache`:
   :class:`~repro.containment.result.ContainmentResult` without rebuilding
   anything;
 * a **chase cache** keyed on (query, Σ, chase budgets), shared between
-  stand-alone chase requests and the bounded-chase containment procedure,
-  so deciding many ``Q ⊆ Q'_k`` questions against one Q re-uses each chase
-  prefix instead of rebuilding it per question;
+  stand-alone chase requests, the bounded-chase containment procedure
+  and the view search's matching chase, so deciding many ``Q ⊆ Q'_k``
+  questions against one Q re-uses each chase prefix instead of
+  rebuilding it per question;
 * a **rewrite cache** keyed on (query, catalog, Σ) plus the config fields
   that shape the view search.
+
+Rewrite certification is the one caller that bypasses the answer
+caches: its questions are about freshly expanded candidates no later
+request can name, so :meth:`Solver._certify` decides them on fresh
+chases, or from the matching chase the view search already holds,
+instead of keying, looking up and storing answers nothing would read.
 
 Structures derived from the inputs themselves (fingerprints, compiled
 dependency plans, a catalog's extended schema and signature index) live
@@ -63,12 +70,16 @@ from repro.chase.engine import (
     resolve_engine_name,
 )
 from repro.chase.termination import chase_guaranteed_finite
+from repro.containment.bounds import theorem2_level_bound
+from repro.containment.certificates import build_certificate
 from repro.containment.fd_containment import contained_under_fds
-from repro.containment.ind_containment import contained_under_bounded_chase
+from repro.containment.ind_containment import ChaseFn, contained_under_bounded_chase
 from repro.containment.no_dependencies import contained_without_dependencies
 from repro.containment.result import ContainmentResult
 from repro.dependencies.dependency_set import DependencyClass, DependencySet
 from repro.exceptions import ReproError
+from repro.homomorphism.problem import TargetIndex
+from repro.homomorphism.query_homomorphism import find_query_homomorphism
 from repro.obs import probe as _probe
 from repro.obs.clock import monotonic
 from repro.obs.tracing import maybe_span
@@ -312,13 +323,18 @@ class Solver:
                 config.record_trace,
                 resolve_engine_name(config.engine),
             ),
-            lambda: build_engine(query, dependencies, config).run())
+            lambda: self._fresh_chase(query, dependencies, config))
 
     def _chase_fn(self, query: ConjunctiveQuery, dependencies: DependencySet,
                   config: ChaseConfig) -> ChaseResult:
         """The chase callable threaded into the containment procedure."""
         result, _ = self._cached_chase(query, dependencies, config)
         return result
+
+    def _fresh_chase(self, query: ConjunctiveQuery, dependencies: DependencySet,
+                     config: ChaseConfig) -> ChaseResult:
+        """One chase run under ``config``'s engine, outside every cache."""
+        return build_engine(query, dependencies, config).run()
 
     # -- containment ---------------------------------------------------------
 
@@ -342,47 +358,6 @@ class Solver:
                 config: SolverConfig) -> Tuple[ContainmentResult, bool]:
         self.stats.count("containment_requests")
         sigma = dependencies if dependencies is not None else DependencySet()
-
-        def compute() -> ContainmentResult:
-            classification = sigma.classify(query.input_schema)
-            if classification is DependencyClass.EMPTY:
-                return contained_without_dependencies(query, query_prime)
-            if classification is DependencyClass.FD_ONLY:
-                return contained_under_fds(query, query_prime, sigma)
-            exact = classification in (DependencyClass.IND_ONLY,
-                                       DependencyClass.KEY_BASED)
-            # Outside the paper's decidable classes (general FD/IND mixes
-            # and embedded TGD/EGD sets) a weak-acyclicity certificate
-            # upgrades the semi-decision: the R-chase terminates, so
-            # deepening to saturation yields an exact verdict.  The
-            # guarantee covers the restricted chase only.
-            assume_terminating = (
-                not exact
-                and config.certify_termination
-                and config.level_bound is None  # an explicit bound wins
-                and config.variant is ChaseVariant.RESTRICTED
-            )
-            if assume_terminating:
-                with maybe_span("termination.analysis") as span:
-                    assume_terminating = chase_guaranteed_finite(
-                        sigma, query.input_schema)
-                    if span is not None:
-                        span.tags["certified"] = assume_terminating
-            return contained_under_bounded_chase(
-                query, query_prime, sigma,
-                variant=config.variant,
-                level_bound=config.level_bound,
-                max_conjuncts=config.max_conjuncts,
-                exact=exact,
-                record_trace=config.record_trace,
-                with_certificate=config.with_certificate,
-                deepening=config.deepening,
-                chase_fn=self._chase_fn,
-                engine=config.chase_engine,
-                assume_terminating=assume_terminating,
-                saturation_level_cap=config.saturation_level_cap,
-            )
-
         # Results carrying certificates are never cached: certificates are
         # standalone artifacts a caller may legitimately mutate (tampering
         # experiments, redaction before shipping), so sharing one object
@@ -395,7 +370,101 @@ class Solver:
                 dependency_fingerprint(sigma),
                 config.containment_key(),
             ),
-            compute, cacheable=not config.with_certificate)
+            lambda: self._contain(query, query_prime, sigma, config,
+                                  self._chase_fn),
+            cacheable=not config.with_certificate)
+
+    def _contain(self, query: ConjunctiveQuery, query_prime: ConjunctiveQuery,
+                 sigma: DependencySet, config: SolverConfig,
+                 chase_fn: ChaseFn) -> ContainmentResult:
+        """The procedure Σ's class calls for, run under ``config``.
+
+        No answer cache is consulted: :meth:`_decide` wraps this in the
+        containment cache, and :meth:`_certify` calls it directly, with
+        ``chase_fn`` building the chases of ``query``.
+        """
+        classification = sigma.classify(query.input_schema)
+        if classification is DependencyClass.EMPTY:
+            return contained_without_dependencies(query, query_prime)
+        if classification is DependencyClass.FD_ONLY:
+            return contained_under_fds(query, query_prime, sigma)
+        exact = classification in (DependencyClass.IND_ONLY,
+                                   DependencyClass.KEY_BASED)
+        # Outside the paper's decidable classes (general FD/IND mixes
+        # and embedded TGD/EGD sets) a weak-acyclicity certificate
+        # upgrades the semi-decision: the R-chase terminates, so
+        # deepening to saturation yields an exact verdict.  The
+        # guarantee covers the restricted chase only.
+        assume_terminating = (
+            not exact
+            and config.certify_termination
+            and config.level_bound is None  # an explicit bound wins
+            and config.variant is ChaseVariant.RESTRICTED
+        )
+        if assume_terminating:
+            with maybe_span("termination.analysis") as span:
+                assume_terminating = chase_guaranteed_finite(
+                    sigma, query.input_schema)
+                if span is not None:
+                    span.tags["certified"] = assume_terminating
+        return contained_under_bounded_chase(
+            query, query_prime, sigma,
+            variant=config.variant,
+            level_bound=config.level_bound,
+            max_conjuncts=config.max_conjuncts,
+            exact=exact,
+            record_trace=config.record_trace,
+            with_certificate=config.with_certificate,
+            deepening=config.deepening,
+            chase_fn=chase_fn,
+            engine=config.chase_engine,
+            assume_terminating=assume_terminating,
+            saturation_level_cap=config.saturation_level_cap,
+        )
+
+    def _certify(self, query: ConjunctiveQuery, query_prime: ConjunctiveQuery,
+                 sigma: DependencySet, config: SolverConfig,
+                 matching: Optional[ChaseResult] = None,
+                 index: Optional[TargetIndex] = None) -> ContainmentResult:
+        """Σ ⊨ query ⊆ query_prime for rewrite certification, uncached.
+
+        Each call counts as one containment request, as a keyed decision
+        does.  Without ``matching`` the procedure runs under ``config``
+        on fresh chases of ``query``.  ``matching`` is a prefix of
+        chase(query) the caller already holds, with ``index`` the target
+        index over its atoms: a homomorphism from ``query_prime`` into
+        it proves the containment (Theorem 1), and finding none leaves
+        the question unproved.  That result's ``method`` is
+        ``"bounded-chase"`` whatever Σ's class, and its ``levels_built``
+        and ``chase_size`` are the matching chase's, whose depth is the
+        caller's and may exceed an explicit ``level_bound``.
+        """
+        self.stats.count("containment_requests")
+        if matching is None:
+            return self._contain(query, query_prime, sigma, config,
+                                 self._fresh_chase)
+        witness = find_query_homomorphism(
+            query_prime.conjuncts, query_prime.summary_row,
+            (), matching.summary_row, target_index=index)
+        levels = matching.max_level()
+        where = (f"the first {levels} levels of the "
+                 f"{matching.variant.value}-chase of Q (the matching chase)")
+        if witness is None:
+            return ContainmentResult(
+                holds=False, certain=False, method="bounded-chase",
+                reason=f"no homomorphism from Q' into {where}",
+                levels_built=levels, chase_size=len(matching))
+        certificate = None
+        if config.with_certificate:
+            certificate = build_certificate(query, query_prime, sigma,
+                                            matching, witness)
+        return ContainmentResult(
+            holds=True, certain=True, method="bounded-chase",
+            reason=f"homomorphism from Q' into {where}",
+            levels_built=levels, chase_size=len(matching),
+            level_bound=(config.level_bound if config.level_bound is not None
+                         else theorem2_level_bound(query_prime, sigma)),
+            homomorphism=witness, certificate=certificate)
 
     # -- chase ---------------------------------------------------------------
 
@@ -445,8 +514,9 @@ class Solver:
         fingerprints of (query, catalog, Σ) plus the config fields that
         shape the search, so re-rewriting a repeated workload costs one
         LRU lookup.  A non-default ``cost_model`` bypasses the cache
-        (callables have no content fingerprint); the inner containment
-        and chase calls still hit their own caches either way.
+        (callables have no content fingerprint).  Either way the
+        matching chase goes through the chase cache, while certification
+        (:meth:`_certify`) touches no answer cache.
         """
         report, _ = self._cached_rewrite(query, catalog, dependencies,
                                          cost_model, config or self._config)

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple
 
 from repro.exceptions import ParseError
 
@@ -22,14 +21,17 @@ _TOKEN_SPEC = [
     ("COMMA", r","),
     ("COLON", r":"),
     ("EQUALS", r"="),
-    ("WS", r"\s+"),
 ]
 
-_TOKEN_RE = re.compile("|".join(f"(?P<{name}>{pattern})" for name, pattern in _TOKEN_SPEC))
+# One match per token: leading whitespace is skipped inside it, and any
+# other character no token starts with matches UNEXPECTED.
+_TOKEN_RE = re.compile(
+    r"\s*(?:"
+    + "|".join(f"(?P<{name}>{pattern})" for name, pattern in _TOKEN_SPEC)
+    + r"|(?P<UNEXPECTED>\S))")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token with its position in the source text."""
 
     kind: str
@@ -43,16 +45,13 @@ class Token:
 def tokenize(text: str) -> List[Token]:
     """Tokenize ``text``; raises ParseError on unrecognised characters."""
     tokens: List[Token] = []
-    position = 0
-    while position < len(text):
-        match = _TOKEN_RE.match(text, position)
-        if match is None:
-            raise ParseError(f"unexpected character {text[position]!r}", text, position)
-        kind = match.lastgroup or ""
-        value = match.group()
-        if kind != "WS":
-            tokens.append(Token(kind=kind, text=value, position=position))
-        position = match.end()
+    for match in _TOKEN_RE.finditer(text):
+        group = match.lastindex
+        token = Token(match.lastgroup, match.group(group), match.start(group))
+        if token.kind == "UNEXPECTED":
+            raise ParseError(f"unexpected character {token.text!r}", text,
+                             token.position)
+        tokens.append(token)
     return tokens
 
 
@@ -77,21 +76,28 @@ class TokenStream:
         self.index += 1
         return token
 
+    # ``accept`` and ``expect`` run once per token of every parsed text,
+    # so they index the list directly instead of calling ``peek``.
+
     def accept(self, kind: str) -> Token:
         """Consume a token of the given kind or None."""
-        if not self.at_end() and self.peek().kind == kind:
-            return self.next()
+        index = self.index
+        if index < len(self.tokens) and self.tokens[index].kind == kind:
+            self.index = index + 1
+            return self.tokens[index]
         return None  # type: ignore[return-value]
 
     def expect(self, kind: str) -> Token:
-        if self.at_end():
+        index = self.index
+        if index >= len(self.tokens):
             raise ParseError(f"expected {kind} but input ended", self.text, len(self.text))
-        token = self.peek()
+        token = self.tokens[index]
         if token.kind != kind:
             raise ParseError(
                 f"expected {kind} but found {token.text!r}", self.text, token.position
             )
-        return self.next()
+        self.index = index + 1
+        return token
 
     def expect_end(self) -> None:
         if not self.at_end():

@@ -840,9 +840,13 @@ def _dispatch(record: Dict[str, Any], solver: Solver, defaults: ServiceDefaults,
             "resolved here; route rewrite-by-fingerprint records through a "
             "pool or coordinator front end")
     catalog = parser.catalog(views_text, schema_text)
-    # Certification is containment, so it gets contain's level ceiling.
-    config = solver.config.derive(max_conjuncts=max_conjuncts,
-                                  saturation_level_cap=max_level)
+    # Certification is containment, so it gets contain's level ceiling;
+    # the matching chase is a chase, so its budget is clamped as the
+    # chase op's is.
+    config = solver.config.derive(
+        max_conjuncts=max_conjuncts, saturation_level_cap=max_level,
+        chase_max_conjuncts=min(solver.config.chase_max_conjuncts,
+                                max_conjuncts))
     if record.get("strategy") is not None:
         # Validated by SolverConfig; an unknown name raises ViewError →
         # a "parse" error envelope.

@@ -27,10 +27,17 @@ primitives, run as a staged pipeline:
    (:mod:`repro.views.buckets`).
 5. **Certification and ranking** — each candidate (view atoms plus the
    uncovered base atoms) is expanded back to the base schema and kept
-   exactly when the containment engine certifies it equivalent to the
-   original query under Σ, in both directions, with certainty; certified
-   rewritings are ranked by a :mod:`~repro.views.cost` model — by
-   default fewest atoms, then fewest base-relation accesses.
+   exactly when it is certified equivalent to the original query under
+   Σ, in both directions, with certainty, outside the solver's answer
+   caches: no later request can name an expansion.  The forward
+   direction (expansion ⊆ query) runs the containment procedure on
+   fresh chases of the expansion.  The backward direction (query ⊆
+   expansion) is already proved by construction: the images map the
+   expansion into the matching chase, a prefix of chase(query), so by
+   Theorem 1 one homomorphism search into that chase (through image
+   discovery's target index) certifies it.  Certified rewritings are
+   ranked by a :mod:`~repro.views.cost` model — by default fewest atoms,
+   then fewest base-relation accesses.
 
 Per-stage wall-clock timings land in ``RewriteReport.stage_timings``
 (surfaced by ``repro rewrite --explain``).
@@ -43,10 +50,11 @@ from itertools import combinations
 from operator import attrgetter
 from typing import Any, ClassVar, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from repro.chase.engine import ChaseConfig
 from repro.containment.result import ContainmentResult
 from repro.dependencies.dependency_set import DependencySet
 from repro.exceptions import QueryError, ViewError
-from repro.homomorphism.problem import HomomorphismProblem
+from repro.homomorphism.problem import HomomorphismProblem, TargetIndex
 from repro.homomorphism.query_homomorphism import build_target_index
 from repro.homomorphism.search import iter_homomorphisms
 from repro.obs import probe as _probe
@@ -83,7 +91,12 @@ class ViewImage:
 
 @dataclass
 class Rewriting:
-    """One certified rewriting of the original query over the views."""
+    """One certified rewriting of the original query over the views.
+
+    ``backward`` is proved by a homomorphism into the matching chase, so
+    its ``method`` is ``"bounded-chase"`` whatever Σ's class, and its
+    ``levels_built`` and ``chase_size`` are that chase's.
+    """
 
     query: ConjunctiveQuery          # over the catalog's extended schema
     expansion: ConjunctiveQuery      # the unfolding, over the base schema
@@ -260,7 +273,14 @@ def find_view_images(views: Sequence,
     caps, an empty answer means "none found by this search", not "none
     exists".
     """
-    index = build_target_index(chase_atoms)
+    return _find_images(views, build_target_index(chase_atoms), chase_atoms,
+                        base_labels, max_images)
+
+
+def _find_images(views: Sequence, index: TargetIndex,
+                 chase_atoms: Sequence[Conjunct], base_labels: Set[str],
+                 max_images: int) -> Tuple[List[ViewImage], bool, List[str]]:
+    """:func:`find_view_images` against ``index``, built from ``chase_atoms``."""
     label_by_key: Dict[Tuple[str, Tuple[Term, ...]], str] = {
         (atom.relation, atom.terms): atom.label
         for atom in chase_atoms if atom.label in base_labels
@@ -422,10 +442,11 @@ def rewrite_with_views(query: ConjunctiveQuery,
                        **containment_options) -> RewriteReport:
     """Chase & backchase search for view-based rewritings of ``query``.
 
-    ``solver`` is the :class:`~repro.api.solver.Solver` whose chase and
-    containment caches back the search (``None`` uses the process-wide
-    default); every certification is a pair of containment calls through
-    it.  ``cost_model`` ranks certified rewritings (default:
+    ``solver`` is the :class:`~repro.api.solver.Solver` that runs the
+    search (``None`` uses the process-wide default).  Its chase cache
+    holds the matching chase; certification runs outside the answer
+    caches and counts one containment request per direction decided.
+    ``cost_model`` ranks certified rewritings (default:
     :func:`~repro.views.cost.default_cost`).  The three budgets bound the
     number of view images collected, the number of view atoms per
     candidate, and the number of candidates certified; like the
@@ -474,8 +495,6 @@ def _search(query: ConjunctiveQuery, catalog: ViewCatalog,
     certification runs under the config itself.  The finished report
     goes to the active metrics probe.
     """
-    from repro.chase.engine import ChaseConfig
-
     sigma = dependencies if dependencies is not None else DependencySet()
     ranking = cost_model if cost_model is not None else default_cost
     if catalog.base_schema is not None and catalog.base_schema != query.input_schema:
@@ -519,8 +538,12 @@ def _search(query: ConjunctiveQuery, catalog: ViewCatalog,
     report.views_pruned = rewriter.views_pruned
     timings["index_probe"] = watch.restart()
 
-    images, truncated, views_skipped = find_view_images(
-        selected_views, chase_atoms, base_labels, config.rewrite_max_images)
+    # One index over the matching chase serves image discovery and every
+    # backward certification.
+    index = build_target_index(chase_atoms)
+    images, truncated, views_skipped = _find_images(
+        selected_views, index, chase_atoms, base_labels,
+        config.rewrite_max_images)
     report.images_found = len(images)
     report.search_truncated = truncated
     report.views_skipped = views_skipped
@@ -571,13 +594,13 @@ def _search(query: ConjunctiveQuery, catalog: ViewCatalog,
                 candidate, catalog, name=f"{query.name}_views_expanded")
         except QueryError:
             continue
-        # ``config`` itself, not the legacy-keyword ``is_contained``:
-        # that takes the fields it has no keyword for (engine,
-        # termination certification, level cap) from the session.
-        forward, _ = session._decide(expansion, query, sigma, config)
+        # ``config`` itself governs both directions, engine, termination
+        # certification and level cap included.
+        forward = session._certify(expansion, query, sigma, config)
         if not (forward.certain and forward.holds):
             continue
-        backward, _ = session._decide(query, expansion, sigma, config)
+        backward = session._certify(query, expansion, sigma, config,
+                                    chase_result, index)
         if not (backward.certain and backward.holds):
             continue
         certified.append(Rewriting(

@@ -397,6 +397,29 @@ class TestFleetEndToEnd:
                 # the chase.
                 assert envelope["result"]["max_level"] <= 3
 
+    def test_uncertified_rewrite_chases_under_the_clamp(self, monkeypatch):
+        # The clamp bounds a rewrite's matching chase too, not only its
+        # certification: uncertified Σ never gets the node's own budget.
+        budgets = []
+        cached_chase = Solver._cached_chase
+
+        def spy_chase(self, query, dependencies, config):
+            if query.name == "Q":
+                budgets.append(config.max_conjuncts)
+            return cached_chase(self, query, dependencies, config)
+
+        monkeypatch.setattr(Solver, "_cached_chase", spy_chase)
+        with running_fleet(node_count=1,
+                           policy=AdmissionPolicy(
+                               uncertified_max_conjuncts=50,
+                               uncertified_max_level=3)) as fleet:
+            with ServiceClient(port=fleet.port) as client:
+                envelope = client.rewrite(
+                    "Q(a) :- R(a, b), R(b, c)", "V(x, y) :- R(x, y)",
+                    schema="R(a, b)", deps="R[b] <= R[a]")
+                assert envelope["ok"], envelope
+        assert budgets == [50]
+
     def test_admin_requires_token(self):
         with running_fleet() as fleet:
             with ServiceClient(port=fleet.port) as client:

@@ -25,8 +25,15 @@ class TestTokenizer:
         assert tokenize("⊆")[0].kind == "SUBSET"
 
     def test_unknown_character(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="'&' at position 5"):
             tokenize("R(a) & S(b)")
+
+    def test_whitespace_is_skipped_and_positions_kept(self):
+        tokens = tokenize("  R (a,\tb) \n")
+        assert [(t.kind, t.text, t.position) for t in tokens] == [
+            ("NAME", "R", 2), ("LPAREN", "(", 4), ("NAME", "a", 5),
+            ("COMMA", ",", 6), ("NAME", "b", 8), ("RPAREN", ")", 9)]
+        assert tokenize(" \t\n") == []
 
     def test_stream_expect_and_end(self):
         stream = TokenStream("R(a)")

@@ -799,13 +799,13 @@ class TestCatalogService:
     def test_rewrite_certification_gets_the_level_ceiling(self, monkeypatch):
         # As for contain: the record's max_level, capped by the service's.
         caps = []
-        decide = Solver._decide
+        certify = Solver._certify
 
-        def spy_decide(self, query, query_prime, dependencies, config):
+        def spy_certify(self, query, query_prime, sigma, config, *matching):
             caps.append(config.saturation_level_cap)
-            return decide(self, query, query_prime, dependencies, config)
+            return certify(self, query, query_prime, sigma, config, *matching)
 
-        monkeypatch.setattr(Solver, "_decide", spy_decide)
+        monkeypatch.setattr(Solver, "_certify", spy_certify)
         record = {"op": "rewrite", "id": "rw", "query": QUERY_PRIME,
                   "views": VIEWS_TEXT, "schema": SCHEMA_TEXT,
                   "deps": DEPS_TEXT}
@@ -823,6 +823,33 @@ class TestCatalogService:
         # answer; only max_level 1 certifies again.
         assert higher["cache_hit"]
         assert caps and set(caps) == {1}
+
+    def test_rewrite_matching_chase_gets_the_conjunct_ceiling(self, monkeypatch):
+        # As for chase: the session's chase budget, cut to the record's
+        # max_conjuncts, capped by the service's.
+        budgets = []
+        cached_chase = Solver._cached_chase
+
+        def spy_chase(self, query, dependencies, config):
+            if query.name == "Q1":
+                budgets.append(config.max_conjuncts)
+            return cached_chase(self, query, dependencies, config)
+
+        monkeypatch.setattr(Solver, "_cached_chase", spy_chase)
+        record = {"op": "rewrite", "id": "rw", "query": QUERY_PRIME,
+                  "views": VIEWS_TEXT, "schema": SCHEMA_TEXT,
+                  "deps": DEPS_TEXT}
+        with ShardedSolverPool(shard_count=1, mode="inline") as pool:
+            assert pool.execute(record)["ok"]
+        assert budgets == [SolverConfig().chase_max_conjuncts]
+        budgets.clear()
+        with ShardedSolverPool(shard_count=1, mode="inline",
+                               limits=ServiceLimits(max_conjuncts=40)) as pool:
+            ceiling = pool.execute(record)
+            lower = pool.execute(dict(record, max_conjuncts=3))
+        assert ceiling["ok"] and ceiling["result"]["rewritings"]
+        assert lower["ok"]
+        assert budgets == [40, 3]
 
     def test_catalog_traffic_replays_through_a_pool(self):
         traffic = TrafficGenerator(tenant_count=3, seed=11)

@@ -13,11 +13,13 @@ must be certified equivalent to the original by an independent
 
 from __future__ import annotations
 
+import contextlib
 import json
 
 import pytest
 
 from repro.api import (
+    PersistentCache,
     RewriteRequest,
     Solver,
     SolverConfig,
@@ -26,6 +28,7 @@ from repro.api import (
 from repro.cli import EXIT_NO, EXIT_YES, main
 from repro.containment.equivalence import are_equivalent
 from repro.exceptions import ParseError, ViewError
+from repro.homomorphism.query_homomorphism import build_target_index
 from repro.parser import parse_query, parse_views
 from repro.views import (
     View,
@@ -40,7 +43,7 @@ from repro.workloads import (
     SchemaGenerator,
     ViewCatalogGenerator,
 )
-from repro.workloads.paper_examples import intro_example
+from repro.workloads.paper_examples import intro_example, intro_example_key_based
 
 
 @pytest.fixture()
@@ -229,20 +232,27 @@ class TestSolverIntegration:
             self, intro, dept_emp_catalog, monkeypatch):
         # The session names one engine and no level cap; the request names
         # the other engine and a cap.  Every certification and every chase
-        # the rewrite runs must follow the request.
-        decided, chased = [], []
-        decide, cached_chase = Solver._decide, Solver._cached_chase
+        # the rewrite runs, cached or not, must follow the request.
+        decided, chased, chased_names = [], [], []
+        certify = Solver._certify
+        cached_chase, fresh_chase = Solver._cached_chase, Solver._fresh_chase
 
-        def spy_decide(self, query, query_prime, dependencies, config):
+        def spy_certify(self, query, query_prime, sigma, config, *matching):
             decided.append(config)
-            return decide(self, query, query_prime, dependencies, config)
+            return certify(self, query, query_prime, sigma, config, *matching)
 
-        def spy_chase(self, query, dependencies, config):
+        def spy_cached_chase(self, query, dependencies, config):
             chased.append(config)
             return cached_chase(self, query, dependencies, config)
 
-        monkeypatch.setattr(Solver, "_decide", spy_decide)
-        monkeypatch.setattr(Solver, "_cached_chase", spy_chase)
+        def spy_fresh_chase(self, query, dependencies, config):
+            chased.append(config)
+            chased_names.append(query.name)
+            return fresh_chase(self, query, dependencies, config)
+
+        monkeypatch.setattr(Solver, "_certify", spy_certify)
+        monkeypatch.setattr(Solver, "_cached_chase", spy_cached_chase)
+        monkeypatch.setattr(Solver, "_fresh_chase", spy_fresh_chase)
         request_config = SolverConfig(chase_engine="legacy",
                                       saturation_level_cap=3)
         solver = Solver(SolverConfig(chase_engine="columnar"))
@@ -251,6 +261,10 @@ class TestSolverIntegration:
             config=request_config))
         assert response.report.rewritings
         assert decided and chased
+        # Both directions of each rewriting went through the seam.
+        assert len(decided) >= 2 * len(response.report.rewritings)
+        # The forward certifications chase the expansions, uncached.
+        assert "Q1_views_expanded" in chased_names
         assert all(config.containment_key() == request_config.containment_key()
                    for config in decided)
         assert all(config.engine == "legacy" for config in chased)
@@ -268,6 +282,93 @@ class TestSolverIntegration:
         first.rewritings.clear()  # a tampering caller...
         third = solver.rewrite(intro.q1, dept_emp_catalog, intro.dependencies)
         assert third.rewritings  # ...cannot poison later answers
+
+
+def _key_based_lav_tenant():
+    """A key-based Σ, a 24-view LAV catalog over it, and a chain query."""
+    schema = SchemaGenerator(seed=41).uniform(6, 3, prefix="F41R")
+    sigma = DependencyGenerator(schema, seed=41).key_based(3)
+    catalog = ViewCatalogGenerator(schema, seed=41).lav_catalog(24, sigma)
+    query = QueryGenerator(schema, seed=0).chain(
+        4, relation_names=["F41R3", "F41R2", "F41R5", "F41R4"], name="Q")
+    return query, catalog, sigma
+
+
+class TestCertificationOutsideTheAnswerCaches:
+    """Certification decides each candidate on fresh chases and proves the
+    backward direction from the matching chase: a rewrite keys, reads and
+    stores nothing but the matching chase and its own report."""
+
+    @pytest.mark.parametrize("persistent", [False, True])
+    def test_bucketed_rewrite_touches_only_chase_and_rewrite(
+            self, tmp_path, persistent):
+        query, catalog, sigma = _key_based_lav_tenant()
+        with contextlib.ExitStack() as stack:
+            store = (stack.enter_context(
+                         PersistentCache(str(tmp_path / "cache.sqlite")))
+                     if persistent else None)
+            solver = Solver(persistent_cache=store)
+            report = solver.rewrite(
+                query, catalog, sigma,
+                config=SolverConfig(rewrite_strategy="bucketed"))
+            assert report.rewritings
+            info = solver.cache_info()
+            containment, chase, rewrite = (info["containment"], info["chase"],
+                                           info["rewrite"])
+            assert (containment.hits, containment.misses,
+                    containment.size) == (0, 0, 0)
+            assert (chase.hits, chase.misses, chase.size) == (0, 1, 1)
+            assert (rewrite.hits, rewrite.misses, rewrite.size) == (0, 1, 1)
+            # One containment request per direction decided.
+            assert solver.stats.containment_requests >= 2 * report.certified
+            if store is not None:
+                assert store.sizes() == {"containment": 0, "chase": 1,
+                                         "rewrite": 1}
+
+    def test_no_witness_in_the_matching_chase_leaves_it_unproved(self, intro):
+        # Q2's chase holds EMP(e, s, d) and DEP(d, l'): no EMP atom starts
+        # at d, so nothing witnesses Q2 ⊆ Q'.
+        solver = Solver()
+        matching = solver.chase(intro.q2, intro.dependencies)
+        other = parse_query("Q2(e) :- EMP(e, s, d), EMP(d, t, u)",
+                            intro.schema)
+        result = solver._certify(
+            intro.q2, other, intro.dependencies, SolverConfig(), matching,
+            build_target_index(list(matching.conjuncts())))
+        assert (result.holds, result.certain) == (False, False)
+        assert result.homomorphism is None
+        assert solver.stats.containment_requests == 1
+
+    @pytest.mark.parametrize("example", [intro_example, intro_example_key_based])
+    def test_certificates_for_both_directions_verify_on_intro(self, example):
+        sample = example()
+        catalog = parse_views(
+            "DEPT_EMP(e, d, l) :- EMP(e, s, d), DEP(d, l)\n"
+            "EMPS(e, d) :- EMP(e, s, d)", sample.schema)
+        for query in (sample.q1, sample.q2):
+            report = Solver().rewrite(query, catalog, sample.dependencies,
+                                      config=SolverConfig(with_certificate=True))
+            assert report.rewritings
+            for rewriting in report.rewritings:
+                self._assert_both_certificates(rewriting)
+
+    def test_certificates_for_both_directions_verify_on_lav(self):
+        query, catalog, sigma = _key_based_lav_tenant()
+        report = Solver().rewrite(
+            query, catalog, sigma,
+            config=SolverConfig(rewrite_strategy="bucketed", with_certificate=True))
+        assert report.rewritings
+        for rewriting in report.rewritings:
+            self._assert_both_certificates(rewriting)
+
+    @staticmethod
+    def _assert_both_certificates(rewriting):
+        forward, backward = rewriting.forward, rewriting.backward
+        assert forward.certificate is not None and forward.certificate.verify()
+        assert backward.certificate is not None and backward.certificate.verify()
+        # The backward proof is the matching chase's witness.
+        assert backward.certificate.homomorphism == backward.homomorphism
+        assert backward.certificate.query_prime is rewriting.expansion
 
 
 class TestViewsParser:
