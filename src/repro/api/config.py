@@ -5,7 +5,7 @@ Historically each entry point re-declared the same tuning keywords
 ``with_certificate``, ``deepening``) with per-module defaults.
 :class:`SolverConfig` gathers them in one frozen dataclass whose defaults
 mirror the legacy keyword defaults exactly, adds the session-level knobs
-(cache sizes, batch parallelism), and is the only configuration object a
+(cache sizes, a persistent store), and is the only configuration object a
 :class:`~repro.api.solver.Solver` reads.
 
 The config is immutable so it can participate in cache keys; derive
@@ -18,12 +18,10 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.chase.engine import ChaseConfig, ChaseVariant, resolve_engine_name, validate_engine_name
+from repro.chase.engine import ChaseConfig, ChaseVariant
+from repro.chase.registry import resolve_engine_name
 from repro.exceptions import ReproError
 from repro.views.registry import resolve_rewriter_name, validate_rewriter_name
-
-#: The executors ``Solver.solve_many`` understands.
-EXECUTORS = ("serial", "thread", "process")
 
 #: The legacy keyword names every containment entry point used to take,
 #: in their historical order.  ``SolverConfig`` has one field per name
@@ -79,12 +77,12 @@ class SolverConfig:
     including the ones inside containment decisions and view rewriting):
 
     chase_engine:
-        Any name in the chase-engine registry: ``"columnar"`` (the
-        interned-integer production engine, the default) or
+        ``"columnar"`` (the interned-integer production engine) or
         ``"legacy"`` (the seed scan-and-rebuild engine, kept as the
-        differential test harness's reference).  ``None`` defers to the
-        ``REPRO_CHASE_ENGINE`` environment variable and then to
-        ``"columnar"``.
+        differential test harness's reference).  ``None`` becomes the
+        process default when the config is built: the engine
+        ``$REPRO_CHASE_ENGINE`` named when the process started, else
+        ``"columnar"`` (see :mod:`repro.chase.registry`).
 
     View-rewriting knobs (used by :meth:`Solver.rewrite`):
 
@@ -102,7 +100,7 @@ class SolverConfig:
         all image subsets tried) or ``"bucketed"`` (MiniCon-style: a
         signature index prunes views before matching and candidates
         grow through per-subgoal buckets; the catalog-scale strategy).
-        ``None`` means ``"exhaustive"``.
+        ``None`` becomes ``"exhaustive"`` when the config is built.
 
     Session knobs:
 
@@ -115,10 +113,6 @@ class SolverConfig:
         processes pointed at one path warm each other, and a restarted
         process starts warm.  Not part of any cache key — persistence
         changes where answers live, never what they are.
-    parallelism:
-        Default worker count for ``solve_many`` (``None`` = sequential).
-    executor:
-        ``"serial"``, ``"thread"``, or ``"process"``.
     """
 
     variant: ChaseVariant = ChaseVariant.RESTRICTED
@@ -146,8 +140,6 @@ class SolverConfig:
     chase_cache_size: int = 256
     rewrite_cache_size: int = 256
     persistent_cache_path: Optional[str] = None
-    parallelism: Optional[int] = None
-    executor: str = "thread"
 
     def __post_init__(self) -> None:
         if isinstance(self.variant, str):
@@ -169,19 +161,13 @@ class SolverConfig:
             raise ReproError("rewrite budgets must be positive")
         if self.rewrite_chase_level is not None and self.rewrite_chase_level < 0:
             raise ReproError("rewrite_chase_level must be non-negative")
-        if self.chase_engine is not None:
-            # One validator, shared with ChaseConfig: the registry's.
-            # ChaseError is a ReproError, so callers catching the facade
-            # exception keep working.
-            validate_engine_name(self.chase_engine)
-        if self.rewrite_strategy is not None:
-            # ViewError is a ReproError too.
-            validate_rewriter_name(self.rewrite_strategy)
-        if self.parallelism is not None and self.parallelism <= 0:
-            raise ReproError("parallelism must be positive (or None for sequential)")
-        if self.executor not in EXECUTORS:
-            raise ReproError(
-                f"unknown executor {self.executor!r}; expected one of {EXECUTORS}")
+        # Resolved once, here: cache keys and every chase read the names.
+        # Unknown names raise ChaseError / ViewError, both ReproErrors.
+        object.__setattr__(self, "chase_engine",
+                           resolve_engine_name(self.chase_engine))
+        object.__setattr__(self, "rewrite_strategy",
+                           resolve_rewriter_name() if self.rewrite_strategy is None
+                           else validate_rewriter_name(self.rewrite_strategy))
 
     # -- derivation ----------------------------------------------------------
 
@@ -208,13 +194,13 @@ class SolverConfig:
 
         The chase engine is part of the key so a differential harness
         running both engines against one solver never shares answers
-        between them; ``None`` is resolved first so an explicit
-        ``"columnar"`` and the default hit the same entries.
+        between them; the name was resolved when the config was built, so
+        an explicit ``"columnar"`` and the default hit the same entries.
         """
         return (self.variant, self.level_bound, self.max_conjuncts,
                 self.record_trace, self.with_certificate, self.deepening,
                 self.certify_termination, self.saturation_level_cap,
-                resolve_engine_name(self.chase_engine))
+                self.chase_engine)
 
     def rewrite_key(self) -> Tuple:
         """The fields that can change a rewrite report (cache key part).
@@ -231,7 +217,7 @@ class SolverConfig:
             # Resolved, like the chase engine: an explicit "exhaustive"
             # and the default share entries, and strategies never share
             # each other's reports.
-            resolve_rewriter_name(self.rewrite_strategy),
+            self.rewrite_strategy,
         )
 
     def chase_config(self, max_level: Optional[int] = None) -> ChaseConfig:

@@ -67,7 +67,6 @@ from repro.chase.engine import (
     ChaseResult,
     ChaseVariant,
     build_engine,
-    resolve_engine_name,
 )
 from repro.chase.termination import chase_guaranteed_finite
 from repro.containment.bounds import theorem2_level_bound
@@ -307,9 +306,10 @@ class Solver:
                       config: ChaseConfig) -> Tuple[ChaseResult, bool]:
         # The display name rides along because ChaseResult.query (and the
         # reports derived from it) surface it; content fingerprints alone
-        # would conflate equal queries with different names.  The resolved
-        # engine name is part of the key so legacy and columnar runs of the
-        # differential harness never share a result.
+        # would conflate equal queries with different names.  The engine
+        # name (resolved when the config was built) is part of the key so
+        # legacy and columnar runs of the differential harness never share
+        # a result.
         return self._answer(
             self._chase_cache, "chase",
             lambda: (
@@ -321,7 +321,7 @@ class Solver:
                 config.max_conjuncts,
                 config.max_steps,
                 config.record_trace,
-                resolve_engine_name(config.engine),
+                config.engine,
             ),
             lambda: self._fresh_chase(query, dependencies, config))
 
@@ -639,36 +639,36 @@ class Solver:
 
     def solve_many(self, requests: Sequence[SolveRequest],
                    parallelism: Optional[int] = None,
-                   executor: Optional[str] = None) -> List[SolveResponse]:
+                   executor: str = "thread") -> List[SolveResponse]:
         """Execute many requests, preserving input order.
 
-        ``parallelism``/``executor`` default to the session config.  The
-        thread executor shares this solver's caches (useful when requests
-        overlap); the process executor trades cache sharing for true CPU
-        parallelism by solving each request in a fresh worker solver.
+        ``parallelism`` is the worker count (``None`` or ``1`` solves
+        the requests one after another) and ``executor`` is
+        ``"serial"``, ``"thread"`` or ``"process"``.  The thread executor
+        shares this solver's caches (useful when requests overlap); the
+        process executor trades cache sharing for true CPU parallelism by
+        solving each request in a fresh worker solver.
         """
         self.stats.count("batch_calls")
         requests = list(requests)
-        workers = parallelism if parallelism is not None else self._config.parallelism
-        mode = executor if executor is not None else self._config.executor
-        if mode not in ("serial", "thread", "process"):
-            raise ReproError(f"unknown executor {mode!r}")
-        if workers is None or workers <= 1 or len(requests) <= 1 or mode == "serial":
+        if executor not in ("serial", "thread", "process"):
+            raise ReproError(f"unknown executor {executor!r}")
+        if (parallelism is None or parallelism <= 1 or len(requests) <= 1
+                or executor == "serial"):
             return [self.solve(request) for request in requests]
 
         import concurrent.futures as futures
-        if mode == "thread":
-            pool_cls = futures.ThreadPoolExecutor
-            with pool_cls(max_workers=workers) as pool:
+        if executor == "thread":
+            with futures.ThreadPoolExecutor(max_workers=parallelism) as pool:
                 return list(pool.map(self.solve, requests))
-        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        with futures.ProcessPoolExecutor(max_workers=parallelism) as pool:
             return list(pool.map(_solve_in_worker,
                                  ((request, self._config) for request in requests)))
 
     def contains_all_pairs(self, queries: Sequence[ConjunctiveQuery],
                            dependencies: Optional[DependencySet] = None,
                            parallelism: Optional[int] = None,
-                           executor: Optional[str] = None) -> PairwiseContainment:
+                           executor: str = "thread") -> PairwiseContainment:
         """All ordered containment questions among ``queries`` under Σ.
 
         The chase cache makes this markedly cheaper than n·(n−1)
@@ -694,7 +694,7 @@ class Solver:
 def _solve_in_worker(payload: Tuple[SolveRequest, SolverConfig]) -> SolveResponse:
     """Process-pool entry point: solve one request in a fresh solver."""
     request, config = payload
-    return Solver(config.derive(parallelism=None, executor="serial")).solve(request)
+    return Solver(config).solve(request)
 
 
 # ---------------------------------------------------------------------------

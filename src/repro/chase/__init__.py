@@ -38,13 +38,11 @@ from repro.chase.engine import (
     chase,
     o_chase,
     r_chase,
-    resolve_engine_name,
 )
 from repro.chase.registry import (
-    ChaseEngineProtocol,
     available_engines,
-    create_engine,
     register_engine,
+    resolve_engine_name,
     validate_engine_name,
 )
 from repro.chase.columnar import ColumnarChaseEngine
@@ -64,7 +62,6 @@ from repro.chase.termination import (
 __all__ = [
     "ChaseArc",
     "ChaseConfig",
-    "ChaseEngineProtocol",
     "ChaseGraph",
     "ChaseNode",
     "ColumnarChaseEngine",
@@ -86,7 +83,6 @@ __all__ = [
     "available_engines",
     "build_engine",
     "chase",
-    "create_engine",
     "register_engine",
     "resolve_engine_name",
     "validate_engine_name",

@@ -592,14 +592,14 @@ class ColumnarChaseEngine:
 
     @property
     def graph(self) -> ChaseGraph:
-        """The chase graph, materialised on demand (``ChaseEngineProtocol``)."""
+        """The chase graph, materialised on demand."""
         if self._result_graph is not None:
             return self._result_graph
         return self._materialize_graph()
 
     @property
     def statistics(self) -> ChaseStatistics:
-        """Work counters accumulated so far (the ``ChaseEngineProtocol`` surface)."""
+        """Work counters accumulated so far."""
         return self._statistics
 
     def run(self) -> ChaseResult:

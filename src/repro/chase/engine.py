@@ -20,8 +20,9 @@ finite chase) or was *truncated* (it is a prefix of a larger, possibly
 infinite, chase).
 
 This module holds the configuration and result types every engine
-shares, the run instrumentation, and the registration of the two
-built-in implementations:
+shares, the run instrumentation, and :func:`build_engine`, which
+constructs one of the two implementations :mod:`repro.chase.registry`
+names:
 
 * :class:`~repro.chase.columnar.ColumnarChaseEngine` (the default,
   ``engine="columnar"``) is the production engine: an interned-integer
@@ -50,6 +51,7 @@ from typing import ClassVar, Dict, List, Optional, Tuple
 
 from repro.chase.chase_graph import ChaseGraph
 from repro.chase.events import ChaseTrace
+from repro.chase.registry import engine_factory, resolve_engine_name
 from repro.dependencies.dependency_set import DependencySet
 from repro.exceptions import ChaseError
 from repro.obs import probe as _probe
@@ -58,18 +60,6 @@ from repro.obs.tracing import current_span, maybe_span
 from repro.queries.conjunct import Conjunct
 from repro.queries.conjunctive_query import ConjunctiveQuery
 from repro.terms.term import Term
-
-# Engine selection lives in the registry; these re-exports keep the
-# historical import path (``from repro.chase.engine import ...``) working.
-from repro.chase.registry import (  # noqa: E402  (re-export)
-    CHASE_ENGINE_ENV_VAR,  # noqa: F401  (re-export)
-    ChaseEngineProtocol,  # noqa: F401  (re-export)
-    available_engines,  # noqa: F401  (re-export)
-    create_engine,
-    register_engine,
-    resolve_engine_name,
-    validate_engine_name,
-)
 
 
 class ChaseVariant(Enum):
@@ -87,10 +77,9 @@ class ChaseConfig:
     unbounded (use together with ``max_conjuncts``).  ``max_conjuncts``
     bounds the total number of live conjuncts and always applies.
     ``record_trace`` can be switched off for large benchmark runs.
-    ``engine`` selects the implementation by registry name
-    (``"columnar"``, ``"legacy"``, or anything registered through
-    :func:`repro.chase.registry.register_engine`); ``None`` defers to
-    ``$REPRO_CHASE_ENGINE`` / the columnar default.
+    ``engine`` names the implementation (``"columnar"`` or
+    ``"legacy"``, see :mod:`repro.chase.registry`); ``None`` becomes the
+    process default when the config is built.
     """
 
     variant: ChaseVariant = ChaseVariant.RESTRICTED
@@ -105,8 +94,7 @@ class ChaseConfig:
             raise ChaseError("max_conjuncts must be positive")
         if self.max_level is not None and self.max_level < 0:
             raise ChaseError("max_level must be non-negative")
-        if self.engine is not None:
-            validate_engine_name(self.engine)
+        self.engine = resolve_engine_name(self.engine)
 
 
 @dataclass
@@ -372,30 +360,9 @@ def run_with_instrumentation(engine) -> ChaseResult:
 
 def build_engine(query: ConjunctiveQuery, dependencies: DependencySet,
                  config: Optional[ChaseConfig] = None):
-    """Instantiate the engine a config selects (columnar by default)."""
-    resolved_config = config or ChaseConfig()
-    name = resolve_engine_name(resolved_config.engine)
-    return create_engine(name, query, dependencies, resolved_config)
-
-
-# -- built-in engine registration ---------------------------------------------------------------
-
-
-def _legacy_factory(query: ConjunctiveQuery, dependencies: DependencySet,
-                    config: ChaseConfig):
-    from repro.chase.legacy_engine import LegacyChaseEngine
-    return LegacyChaseEngine(query, dependencies, config)
-
-
-def _columnar_factory(query: ConjunctiveQuery, dependencies: DependencySet,
-                      config: ChaseConfig):
-    from repro.chase.columnar import ColumnarChaseEngine
-    return ColumnarChaseEngine(query, dependencies, config)
-
-
-# replace=True keeps registration idempotent under module reloads.
-register_engine("legacy", _legacy_factory, replace=True)
-register_engine("columnar", _columnar_factory, replace=True)
+    """Instantiate the engine ``config`` names (the process default without one)."""
+    config = config or ChaseConfig()
+    return engine_factory(config.engine)(query, dependencies, config)
 
 
 # -- module-level convenience functions ---------------------------------------------------------

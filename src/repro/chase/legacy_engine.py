@@ -107,12 +107,12 @@ class LegacyChaseEngine:
 
     @property
     def graph(self) -> ChaseGraph:
-        """The chase graph built so far (the ``ChaseEngineProtocol`` surface)."""
+        """The chase graph built so far."""
         return self._graph
 
     @property
     def statistics(self) -> ChaseStatistics:
-        """Work counters accumulated so far (the ``ChaseEngineProtocol`` surface)."""
+        """Work counters accumulated so far."""
         return self._statistics
 
     def run(self) -> ChaseResult:

@@ -75,9 +75,11 @@ def parse_query(text: str, schema: DatabaseSchema, name: str = "") -> Conjunctiv
                 cache[token.text] = NonDistinguishedVariable(token.text)
         return cache[token.text]
 
+    # Labelled c1, c2, ... as ConjunctiveQuery would label them, so it
+    # keeps these atoms instead of rebuilding each one.
     conjuncts = [
-        Conjunct(relation, [to_term(token) for token in arguments])
-        for relation, arguments in body
+        Conjunct(relation, [to_term(token) for token in arguments], f"c{position}")
+        for position, (relation, arguments) in enumerate(body, 1)
     ]
     summary_row = tuple(to_term(token) for token in head_arguments)
     return ConjunctiveQuery(

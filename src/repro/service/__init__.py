@@ -42,7 +42,6 @@ from repro.service.protocol import (
     error_envelope,
     handle_catalog_record,
     handle_record,
-    make_worker_solver,
     parse_line,
     resolve_catalog_record,
     routing_fingerprints,
@@ -75,7 +74,6 @@ __all__ = [
     "error_envelope",
     "handle_catalog_record",
     "handle_record",
-    "make_worker_solver",
     "parse_line",
     "resolve_catalog_record",
     "routing_fingerprints",

@@ -44,6 +44,7 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.api.config import SolverConfig
 from repro.api.persistent import PersistentCache
+from repro.api.solver import Solver
 from repro.exceptions import ReproError
 from repro.service.protocol import (
     CatalogStore,
@@ -55,7 +56,6 @@ from repro.service.protocol import (
     exception_envelope,
     handle_catalog_record,
     handle_record,
-    make_worker_solver,
     op_of,
     resolve_catalog_record,
     routing_fingerprints,
@@ -72,7 +72,7 @@ def _process_shard_main(shard: int, config: SolverConfig,
                         requests: multiprocessing.Queue,
                         responses: multiprocessing.Queue) -> None:
     """A process shard's main loop (module-level so it pickles)."""
-    solver = make_worker_solver(config)
+    solver = Solver(config)
     parser = TenantParser()
     try:
         while True:
@@ -99,11 +99,11 @@ class _Shard:
         self._inbox: "queue.Queue" = queue.Queue(maxsize=pool.max_pending)
         mode = pool.mode
         if mode == "inline":
-            self.solver = make_worker_solver(pool.config, pool.shared_persistent)
+            self.solver = Solver(pool.config, persistent_cache=pool.shared_persistent)
             self._thread = None
             self._process = None
         elif mode == "thread":
-            self.solver = make_worker_solver(pool.config, pool.shared_persistent)
+            self.solver = Solver(pool.config, persistent_cache=pool.shared_persistent)
             self._thread = threading.Thread(
                 target=self._thread_main, name=f"repro-shard-{index}", daemon=True)
             self._process = None

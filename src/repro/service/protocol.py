@@ -40,7 +40,6 @@ import weakref
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.api.config import SolverConfig
 from repro.api.fingerprints import (
     catalog_fingerprint,
     dependency_fingerprint,
@@ -63,6 +62,7 @@ from repro.parser.dependency_parser import parse_dependencies
 from repro.parser.query_parser import parse_query
 from repro.parser.schema_parser import parse_schema
 from repro.parser.view_parser import parse_views
+from repro.views.rewriting import match_level
 
 #: Version 2 added the fleet tier: ``fleet.*`` coordinator operations,
 #: the ``capacity``/``forbidden`` error kinds, and coordinator envelopes
@@ -841,12 +841,20 @@ def _dispatch(record: Dict[str, Any], solver: Solver, defaults: ServiceDefaults,
             "pool or coordinator front end")
     catalog = parser.catalog(views_text, schema_text)
     # Certification is containment, so it gets contain's level ceiling;
-    # the matching chase is a chase, so its budget is clamped as the
-    # chase op's is.
+    # the matching chase is a chase, so it is clamped as the chase op's
+    # is: its conjunct budget always, its depth when the ceiling is below
+    # the depth the search would choose.  A shallower matching chase
+    # also bounds the backward certification, whose witness must lie in
+    # that chase.
+    matching_level = solver.config.rewrite_chase_level
+    if max_level < (matching_level if matching_level is not None
+                    else match_level(catalog)):
+        matching_level = max_level
     config = solver.config.derive(
         max_conjuncts=max_conjuncts, saturation_level_cap=max_level,
         chase_max_conjuncts=min(solver.config.chase_max_conjuncts,
-                                max_conjuncts))
+                                max_conjuncts),
+        rewrite_chase_level=matching_level)
     if record.get("strategy") is not None:
         # Validated by SolverConfig; an unknown name raises ViewError →
         # a "parse" error envelope.
@@ -856,15 +864,3 @@ def _dispatch(record: Dict[str, Any], solver: Solver, defaults: ServiceDefaults,
     result = response.report.as_dict()
     return _success_envelope(record, result, response.elapsed_s,
                              response.cache_hit, shard)
-
-
-def make_worker_solver(config: Optional[SolverConfig] = None,
-                       persistent_cache=None) -> Solver:
-    """One shard's solver: the given config with serial execution forced.
-
-    A shard is itself the unit of parallelism; nested thread pools
-    inside a shard would only fight the other shards for cores.
-    """
-    base = config or SolverConfig()
-    return Solver(base.derive(parallelism=None, executor="serial"),
-                  persistent_cache=persistent_cache)

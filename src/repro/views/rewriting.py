@@ -69,7 +69,6 @@ from repro.views.buckets import (
 )
 from repro.views.cost import CostModel, default_cost
 from repro.views.expansion import expand_query
-from repro.views.registry import resolve_rewriter_name
 from repro.views.view import ViewCatalog
 
 
@@ -500,7 +499,7 @@ def _search(query: ConjunctiveQuery, catalog: ViewCatalog,
     if catalog.base_schema is not None and catalog.base_schema != query.input_schema:
         raise ViewError(
             f"query {query.name} is not over the catalog's base schema")
-    rewriter = _REWRITERS[resolve_rewriter_name(config.rewrite_strategy)]()
+    rewriter = _REWRITERS[config.rewrite_strategy]()
     report = RewriteReport(original=query, dependencies=sigma,
                            catalog_size=len(catalog),
                            strategy=rewriter.strategy_name)

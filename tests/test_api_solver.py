@@ -114,10 +114,6 @@ class TestSolverConfig:
         with pytest.raises(ReproError):
             SolverConfig(level_bound=-1)
         with pytest.raises(ReproError):
-            SolverConfig(parallelism=0)
-        with pytest.raises(ReproError):
-            SolverConfig(executor="rocket")
-        with pytest.raises(ReproError):
             SolverConfig(containment_cache_size=-1)
 
 
@@ -252,6 +248,11 @@ class TestSolveMany:
             assert batch_response.holds == solo_response.holds
             assert batch_response.certain == solo_response.certain
             assert batch_response.result.method == solo_response.result.method
+
+    def test_rejects_unknown_executor(self):
+        # Batch parallelism is chosen per call, not configured.
+        with pytest.raises(ReproError, match="unknown executor 'rocket'"):
+            Solver().solve_many([], executor="rocket")
 
     def test_thread_parallelism_preserves_order_and_results(self):
         solver = Solver()

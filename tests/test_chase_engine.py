@@ -236,18 +236,6 @@ class TestEngineSelection:
         assert columnar.run().engine == "columnar"
         assert legacy.run().engine == "legacy"
 
-    def test_environment_variable_sets_default(self, intro, monkeypatch):
-        from repro.chase.engine import CHASE_ENGINE_ENV_VAR, build_engine, resolve_engine_name
-        monkeypatch.setenv(CHASE_ENGINE_ENV_VAR, "legacy")
-        assert resolve_engine_name(None) == "legacy"
-        result = build_engine(intro.q2, intro.dependencies, ChaseConfig()).run()
-        assert result.engine == "legacy"
-        # An explicit config still overrides the environment.
-        assert resolve_engine_name("columnar") == "columnar"
-        monkeypatch.setenv(CHASE_ENGINE_ENV_VAR, "nonsense")
-        with pytest.raises(ChaseError):
-            resolve_engine_name(None)
-
 
 class TestStatisticsConsistency:
     def test_total_steps_matches_trace_length(self, figure1):

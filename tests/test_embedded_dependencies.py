@@ -46,7 +46,7 @@ from repro.parser import parse_dependencies, parse_query, parse_schema
 from repro.parser.dependency_parser import parse_dependency
 from repro.queries.conjunct import Conjunct
 from repro.relational.schema import DatabaseSchema
-from repro.service.protocol import ServiceDefaults, handle_record, make_worker_solver
+from repro.service.protocol import ServiceDefaults, handle_record
 from repro.terms.term import Constant, DistinguishedVariable, Variable
 from repro.workloads import EmbeddedDependencyGenerator, SchemaGenerator
 
@@ -675,7 +675,7 @@ class TestEmbeddedSerializationAndService:
 
     def test_service_accepts_inline_tgd_deps(self):
         schema_text = "R(a, b)\nS(c, d)"
-        solver = make_worker_solver()
+        solver = Solver()
         record = {
             "id": "tgd-1",
             "query": "Q(a) :- R(a, b)",
@@ -689,7 +689,7 @@ class TestEmbeddedSerializationAndService:
 
     def test_service_chase_op_with_embedded_deps(self):
         schema_text = "R(a, b)\nS(c, d)"
-        solver = make_worker_solver()
+        solver = Solver()
         envelope = handle_record(
             {"op": "chase", "query": "Q(a) :- R(a, b)",
              "schema": schema_text, "deps": "R(u, v) -> S(v, w)"},
@@ -708,11 +708,11 @@ class TestEmbeddedSerializationAndService:
             "schema": schema_text,
             "deps": "R(u, v) -> S(v, w)\nS(u, v) -> T(u, w)",
         }
-        capped = handle_record(dict(record, max_level=1), make_worker_solver(),
+        capped = handle_record(dict(record, max_level=1), Solver(),
                                limits=ServiceLimits())
         assert capped["ok"]
         assert not capped["result"]["holds"] and not capped["result"]["certain"]
-        free = handle_record(record, make_worker_solver(), limits=ServiceLimits())
+        free = handle_record(record, Solver(), limits=ServiceLimits())
         assert free["ok"]
         assert free["result"]["holds"] and free["result"]["certain"]
 
@@ -896,7 +896,7 @@ class TestEmbeddedArityGuards:
             "schema": "R(a, b)\nS(c, d)",
             "deps": "R(u, v, z) -> S(v, w)",
         }
-        envelope = handle_record(record, make_worker_solver())
+        envelope = handle_record(record, Solver())
         assert not envelope["ok"]
         assert "arity" in envelope["error"]["message"]
 

@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro import obs
+from repro.api.solver import Solver
 from repro.obs import probe as probe_module
 from repro.obs.clock import Stopwatch, monotonic, wall_time
 from repro.obs.metrics import (
@@ -53,7 +54,6 @@ from repro.service.protocol import (
     OPERATIONS,
     handle_obs_record,
     handle_record,
-    make_worker_solver,
     validate_record,
 )
 from repro.service.protocol import ProtocolError
@@ -478,7 +478,6 @@ class TestMetricsProbe:
 
     def test_request_metrics_from_the_solver(self, fresh_probe):
         from repro.api.requests import ContainmentRequest
-        from repro.api.solver import Solver
 
         _, sigma, query, query_prime = parsed_inputs()
         solver = Solver()
@@ -504,7 +503,6 @@ class TestMetricsProbe:
         assert counter.value(found="true") >= 1.0
 
     def test_rewrite_reports_candidates(self, fresh_probe):
-        from repro.api.solver import Solver
         from repro.parser.view_parser import parse_views
 
         schema, sigma, _, query_prime = parsed_inputs()
@@ -637,7 +635,7 @@ class TestObsProtocol:
         assert bad["error"]["kind"] == "protocol"
 
     def test_worker_attaches_spans_when_asked_to_collect(self):
-        solver = make_worker_solver()
+        solver = Solver()
         record = {"id": "t1", "query": QUERY, "query_prime": QUERY_PRIME,
                   "trace_context": {"id": new_trace_id(), "collect": True}}
         envelope = handle_record(record, solver, DEFAULTS)
@@ -651,7 +649,7 @@ class TestObsProtocol:
         json.dumps(envelope)
 
     def test_worker_omits_spans_without_collect(self):
-        solver = make_worker_solver()
+        solver = Solver()
         record = {"id": "t2", "query": QUERY, "query_prime": QUERY_PRIME,
                   "trace_context": {"id": new_trace_id()}}
         envelope = handle_record(record, solver, DEFAULTS)
@@ -660,7 +658,7 @@ class TestObsProtocol:
         assert envelope["trace_id"] == record["trace_context"]["id"]
 
     def test_error_envelope_still_carries_the_trace_id(self):
-        solver = make_worker_solver()
+        solver = Solver()
         record = {"id": "t3", "op": "contain", "query": QUERY,
                   "trace_context": {"id": new_trace_id(), "collect": True}}
         envelope = handle_record(record, solver, DEFAULTS)  # missing query_prime

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api.fingerprints import query_fingerprint
 from repro.dependencies.functional import FunctionalDependency
 from repro.dependencies.inclusion import InclusionDependency
 from repro.exceptions import ParseError
@@ -9,6 +10,8 @@ from repro.parser.dependency_parser import parse_dependencies, parse_dependency
 from repro.parser.query_parser import parse_query
 from repro.parser.schema_parser import parse_relation_schema, parse_schema
 from repro.parser.tokenizer import TokenStream, tokenize
+from repro.queries.conjunct import Conjunct
+from repro.queries.conjunctive_query import ConjunctiveQuery
 from repro.terms.term import Constant
 
 
@@ -106,6 +109,36 @@ class TestQueryParser:
     def test_head_constant(self, emp_dep_schema):
         q = parse_query("Q('yes') :- DEP(d, l)", emp_dep_schema)
         assert q.is_boolean()
+
+    def test_labels_are_the_ones_normalisation_assigns(self):
+        # Relations named like labels: the parser's c1, c2, ... must be
+        # what ConjunctiveQuery assigns to unlabelled atoms, in order.
+        schema = parse_schema("c1(a)\nc2(a)\nR(a)")
+        text = "Q(x) :- c2(x), R(x), c1(x), c2(y), c1(y)"
+        parsed = parse_query(text, schema)
+        unlabelled = ConjunctiveQuery(
+            schema,
+            [Conjunct(atom.relation, atom.terms) for atom in parsed.conjuncts],
+            parsed.summary_row, name=parsed.name)
+        assert [atom.label for atom in parsed.conjuncts] == [
+            "c1", "c2", "c3", "c4", "c5"]
+        assert parsed.conjuncts == unlabelled.conjuncts
+        assert query_fingerprint(parsed) == query_fingerprint(unlabelled)
+
+    def test_each_atom_is_built_once(self, emp_dep_schema, monkeypatch):
+        built = []
+        init = Conjunct.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args[0] if args else kwargs["relation"])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Conjunct, "__init__", counting)
+        query = parse_query(
+            "Q(e) :- EMP(e, s, d), DEP(d, l), EMP(f, s, d), DEP(d, m), EMP(e, t, g)",
+            emp_dep_schema)
+        assert len(query) == 5
+        assert built == ["EMP", "DEP", "EMP", "DEP", "EMP"]
 
 
 class TestDependencyParser:

@@ -851,6 +851,33 @@ class TestCatalogService:
         assert lower["ok"]
         assert budgets == [40, 3]
 
+    def test_rewrite_matching_chase_gets_the_level_ceiling(self, monkeypatch):
+        # As for chase: the record's max_level, capped by the service's,
+        # bounds the matching chase whenever it is below the catalog's
+        # match level (its largest view body, here three atoms).
+        levels = []
+        cached_chase = Solver._cached_chase
+
+        def spy_chase(self, query, dependencies, config):
+            result, hit = cached_chase(self, query, dependencies, config)
+            levels.append((config.max_level, result.max_level()))
+            return result, hit
+
+        monkeypatch.setattr(Solver, "_cached_chase", spy_chase)
+        views = VIEWS_TEXT + "\nDEPT_PAIR(e, f) :- EMP(e, s, d), DEP(d, l), EMP(f, t, d)"
+        record = {"op": "rewrite", "id": "rw", "query": QUERY_PRIME,
+                  "views": views, "schema": SCHEMA_TEXT, "deps": DEPS_TEXT}
+        with ShardedSolverPool(shard_count=1, mode="inline") as pool:
+            assert pool.execute(record)["ok"]
+        assert [requested for requested, _ in levels] == [3]
+        levels.clear()
+        with ShardedSolverPool(shard_count=1, mode="inline",
+                               limits=ServiceLimits(max_level=1)) as pool:
+            capped = pool.execute(dict(record, max_level=1))
+        assert capped["ok"] and capped["result"]["rewritings"]
+        assert levels and all(requested == 1 and built <= 1
+                              for requested, built in levels)
+
     def test_catalog_traffic_replays_through_a_pool(self):
         traffic = TrafficGenerator(tenant_count=3, seed=11)
         with ShardedSolverPool(shard_count=2, mode="inline") as pool:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import pickle
 
+from repro.api.solver import Solver
 from repro.chase.columnar import CompiledPlan
 from repro.dependencies import (
     DependencyClass,
@@ -28,7 +29,7 @@ from repro.dependencies import (
 )
 from repro.parser import parse_dependencies, parse_schema
 from repro.relational.schema import DatabaseSchema
-from repro.service.protocol import TenantParser, handle_record, make_worker_solver
+from repro.service.protocol import TenantParser, handle_record
 
 SCHEMA = "R(a, b)\nS(c, d)\nT(e, f, g)"
 DEPS = "R[b] <= S[c]"
@@ -115,7 +116,7 @@ class TestOneSignaturePerTenant:
             self, monkeypatch):
         schema_text, deps_text = tree_tenant(3)
         parser = TenantParser()
-        solver = make_worker_solver()
+        solver = Solver()
         built = []
         signature = DatabaseSchema.signature
 
