@@ -104,7 +104,6 @@ from repro.chase import (
     ChaseVariant,
     chase,
     chase_instance,
-    fd_chase_query,
     o_chase,
     r_chase,
 )
@@ -214,7 +213,6 @@ __all__ = [
     "database_satisfies",
     "evaluate",
     "expand_query",
-    "fd_chase_query",
     "fd_implies",
     "finite_containment_sample",
     "get_default_solver",

@@ -387,7 +387,9 @@ class Solver:
         if classification is DependencyClass.EMPTY:
             return contained_without_dependencies(query, query_prime)
         if classification is DependencyClass.FD_ONLY:
-            return contained_under_fds(query, query_prime, sigma)
+            return contained_under_fds(
+                query, query_prime, sigma, engine=config.chase_engine,
+                with_certificate=config.with_certificate)
         exact = classification in (DependencyClass.IND_ONLY,
                                    DependencyClass.KEY_BASED)
         # Outside the paper's decidable classes (general FD/IND mixes

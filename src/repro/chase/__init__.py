@@ -47,7 +47,6 @@ from repro.chase.registry import (
 )
 from repro.chase.columnar import ColumnarChaseEngine
 from repro.chase.legacy_engine import LegacyChaseEngine
-from repro.chase.fd_chase import fd_chase_query, fd_only_chase
 from repro.chase.instance_chase import InstanceChaseResult, chase_instance
 from repro.chase.termination import (
     ChaseSizeEstimate,
@@ -90,8 +89,6 @@ __all__ = [
     "dependency_position_graph",
     "estimate_chase_size",
     "chase_instance",
-    "fd_chase_query",
-    "fd_only_chase",
     "o_chase",
     "r_chase",
 ]

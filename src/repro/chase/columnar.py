@@ -21,10 +21,13 @@ core onto dense integers:
   loser id is unioned into the survivor and affected atom keys are
   re-canonicalised from the raw (never rewritten) column cells, instead
   of substituting into every conjunct that holds the loser;
-* the FD fixpoint's delta is **semi-naive over integer ranges**: a
-  per-relation row watermark marks everything appended since the last
-  fixpoint dirty, plus the ids re-canonicalised by merges, and each
-  dirty fact is probed only against its FD determinant bucket;
+* the FD fixpoint runs off a **candidate heap** keyed ``(first id,
+  second id, FD slot)``: each fact created since the last fixpoint (the
+  rows past a per-relation watermark) and each fact a merge rewrote is
+  probed once against its FD determinant buckets, every pair it makes
+  applicable is pushed, and a popped pair is re-checked before it is
+  applied — so the first pair that still applies is the paper's choice,
+  and the work is paid once per changed fact, not once per merge;
 * IND applications and *fast* TGDs (single trivial body atom, single
   head atom — every IND-expressible rule qualifies) share one pending
   heap keyed ``(level, node id, kind, dependency index)``, realising the
@@ -66,6 +69,7 @@ from repro.chase.engine import (
     ChaseResult,
     ChaseStatistics,
     ChaseVariant,
+    ConstantClash,
     run_with_instrumentation,
 )
 from repro.chase.events import (
@@ -75,7 +79,6 @@ from repro.chase.events import (
     INDApplication,
     TGDApplication,
 )
-from repro.chase.fd_chase import ConstantClash
 from repro.dependencies.dependency_set import DependencySet
 from repro.dependencies.functional import FunctionalDependency
 from repro.queries.conjunct import Conjunct
@@ -146,12 +149,11 @@ class _FdSpec:
     """An FD with resolved positions; ``slot`` (its index in Σ's FD list)
     selects the run's id-keyed determinant index for it."""
 
-    __slots__ = ("fd", "order", "slot", "lhs_positions", "rhs_position")
+    __slots__ = ("fd", "slot", "lhs_positions", "rhs_position")
 
-    def __init__(self, fd: FunctionalDependency, order: int, slot: int,
+    def __init__(self, fd: FunctionalDependency, slot: int,
                  lhs_positions: Tuple[int, ...], rhs_position: int):
         self.fd = fd
-        self.order = order
         self.slot = slot
         self.lhs_positions = lhs_positions
         self.rhs_position = rhs_position
@@ -243,9 +245,10 @@ class CompiledPlan:
 
     __slots__ = ("fds", "inds", "egds", "constant_ids",
                  "ind_positions", "ind_templates", "ind_target_plans",
-                 "cross_arc_plans", "fd_specs_by_relation", "fast_by_global",
-                 "fast_by_head_rel", "slow_tgds", "slow_global_index",
-                 "pending_plans", "can_merge", "needs_atom_index")
+                 "cross_arc_plans", "fd_specs", "fd_specs_by_relation",
+                 "fast_by_global", "fast_by_head_rel", "slow_tgds",
+                 "slow_global_index", "pending_plans", "can_merge",
+                 "needs_atom_index")
 
     def __init__(self, dependencies: DependencySet, schema: DatabaseSchema):
         self.fds = tuple(dependencies.functional_dependencies())
@@ -297,15 +300,20 @@ class CompiledPlan:
         self.cross_arc_plans = {relation: tuple(entries)
                                 for relation, entries in cross_arcs.items()}
 
-        fd_specs: Dict[str, List[_FdSpec]] = {}
+        fd_specs = []
+        fd_specs_by_relation: Dict[str, List[_FdSpec]] = {}
         for slot, fd in enumerate(self.fds):
             relation = schema.relation(fd.relation)
-            specs = fd_specs.setdefault(fd.relation, [])
-            specs.append(_FdSpec(fd, len(specs), slot,
-                                 fd.lhs_positions(relation),
-                                 fd.rhs_position(relation)))
-        self.fd_specs_by_relation = {relation: tuple(specs)
-                                     for relation, specs in fd_specs.items()}
+            spec = _FdSpec(fd, slot, fd.lhs_positions(relation),
+                           fd.rhs_position(relation))
+            fd_specs.append(spec)
+            fd_specs_by_relation.setdefault(fd.relation, []).append(spec)
+        #: Per FD slot, its resolved spec.  Slots follow Σ's FD order, so
+        #: within a relation they order FDs as the paper's rule does.
+        self.fd_specs = tuple(fd_specs)
+        self.fd_specs_by_relation = {
+            relation: tuple(specs)
+            for relation, specs in fd_specs_by_relation.items()}
 
         # -- TGD split: heap-ridden fast rules vs trigger-index slow ones
         self.fast_by_global: Dict[int, _FastTgd] = {}
@@ -410,6 +418,7 @@ class ColumnarChaseEngine:
         self._ind_templates = plan.ind_templates
         self._ind_target_plans = plan.ind_target_plans
         self._cross_arc_plans = plan.cross_arc_plans
+        self._fd_specs = plan.fd_specs
         self._fd_specs_by_relation = plan.fd_specs_by_relation
         self._fast_by_global = plan.fast_by_global
         self._fast_by_head_rel = plan.fast_by_head_rel
@@ -472,10 +481,9 @@ class ColumnarChaseEngine:
         self._postings_built = False
         self._atom_nodes: Dict[Tuple[str, Tuple[int, ...]], Set[int]] = {}
         self._duplicate_keys: Set[Tuple[str, Tuple[int, ...]]] = set()
-        #: Semi-naive FD delta: per-FD-relation row watermark (rows at or
-        #: past it were appended since the last fixpoint) plus the nodes
-        #: re-canonicalised by merges — integer cursors over the
-        #: append-only column segments.
+        #: The FD delta, the facts not yet probed for FD candidates: per
+        #: FD relation a row watermark (rows at or past it are new) plus
+        #: the nodes merges re-canonicalised.
         self._fd_watermarks: Dict[str, int] = {
             relation: 0 for relation in self._fd_specs_by_relation}
         self._fd_rewritten: Dict[int, None] = {}
@@ -483,6 +491,11 @@ class ColumnarChaseEngine:
         #: "is the delta empty" test that lets the (very frequent)
         #: nothing-new fixpoint calls return without scanning cursors.
         self._fd_dirty = False
+        #: The FD candidate heap: ``(first id, second id, FD slot)`` for
+        #: every pair a probe found applicable.  Node ids are unique
+        #: across relations and slots follow Σ's FD order, so heap order
+        #: is the paper's ``(pair, FD)`` order.
+        self._fd_heap: List[Tuple[int, int, int]] = []
         self._trigger_index: Optional[SemiNaiveTriggerIndex] = (
             SemiNaiveTriggerIndex(
                 self._slow_tgds, self._egds, self._live_views,
@@ -568,7 +581,7 @@ class ColumnarChaseEngine:
     def _resolve_merge_ids(self, first: int, second: int) -> Tuple[int, int]:
         """(survivor, loser) under the FD chase rule's merge policy, on ids.
 
-        Mirrors :func:`repro.chase.fd_chase.resolve_merge`: two distinct
+        Mirrors :func:`repro.chase.engine.resolve_merge`: two distinct
         constants clash, a constant beats a variable, and two variables
         order by ``sort_key`` (DVs before query NDVs before created NDVs).
         """
@@ -808,62 +821,68 @@ class ColumnarChaseEngine:
                 self._apply_fds_to_fixpoint()
 
     def _apply_fds_to_fixpoint(self) -> None:
-        """Apply the FD chase rule until no FD is applicable."""
-        if not self._fds:
-            return
-        if not self._fd_dirty and not self._fd_rewritten:
-            # Empty delta: no row appended past a watermark, no node
-            # rewritten by a merge — nothing can have become applicable.
-            return
-        while not self._failed:
-            found = self._find_applicable_fd()
-            if found is None:
-                self._clear_fd_delta()
-                return
-            spec, first_id, second_id = found
-            self._apply_fd(spec, first_id, second_id)
+        """Apply the FD chase rule until no FD is applicable.
 
-    def _clear_fd_delta(self) -> None:
-        """Advance every watermark to its segment end; forget the rewrites."""
-        self._fd_dirty = False
-        if self._fd_rewritten:
-            self._fd_rewritten.clear()
-        stores = self._stores
-        watermarks = self._fd_watermarks
-        for relation in watermarks:
-            store = stores.get(relation)
-            if store is not None:
-                watermarks[relation] = len(store.row_nodes)
-
-    def _iter_fd_dirty(self):
-        """Node ids possibly newly FD-applicable: the delta row range of
-        every FD-watched relation, then the merge-rewritten nodes."""
-        for relation, watermark in self._fd_watermarks.items():
-            store = self._stores.get(relation)
-            if store is None:
-                continue
-            row_nodes = store.row_nodes
-            for row in range(watermark, len(row_nodes)):
-                yield row_nodes[row]
-        yield from self._fd_rewritten
-
-    def _find_applicable_fd(self):
-        """Lexicographically first applicable (FD, pair of conjuncts).
-
-        Probes only the delta — rows appended past the watermarks plus
-        nodes rewritten by merges — against the determinant buckets, so
-        discovery work is proportional to the actual candidates.  Taking
-        the global minimum over all candidates makes probe order (and the
-        occasional double probe of a node that is both new and rewritten)
-        irrelevant to the choice.
+        A pair becomes applicable only when one of its facts is created
+        or rewritten, and each such fact is probed before the next pop:
+        the delta on entry, the nodes a merge rewrote after each merge.
+        So every applicable pair is on the heap, and the first popped
+        entry that still applies is the lexicographically first
+        applicable (pair, FD).  Merges only ever identify ids, so a
+        pushed pair agrees on the FD's left side for good, and one whose
+        node was retired or whose right sides came to agree never
+        applies again: such entries are dropped.
         """
-        best = None
+        if not self._fd_dirty and not self._fd_rewritten:
+            # Empty delta: nothing created or rewritten since the last
+            # fixpoint, so nothing can have become applicable.
+            return
+        heap = self._fd_heap
+        pop = heapq.heappop
+        specs = self._fd_specs
+        views = self._views
+        atom_keys = self._atom_keys
+        while not self._failed:
+            self._probe_fd_delta()
+            while heap:
+                first_id, second_id, slot = pop(heap)
+                if not (views[first_id].alive and views[second_id].alive):
+                    continue
+                spec = specs[slot]
+                rhs = spec.rhs_position
+                if atom_keys[first_id][rhs] == atom_keys[second_id][rhs]:
+                    continue
+                self._apply_fd(spec, first_id, second_id)
+                break
+            else:
+                return
+
+    def _probe_fd_delta(self) -> None:
+        """Push the FD candidates of the delta's facts; empty the delta."""
+        if self._fd_dirty:
+            self._fd_dirty = False
+            stores = self._stores
+            watermarks = self._fd_watermarks
+            for relation, watermark in watermarks.items():
+                store = stores.get(relation)
+                if store is not None and watermark < len(store.row_nodes):
+                    self._push_fd_candidates(store.row_nodes[watermark:])
+                    watermarks[relation] = len(store.row_nodes)
+        if self._fd_rewritten:
+            self._push_fd_candidates(self._fd_rewritten)
+            self._fd_rewritten.clear()
+
+    def _push_fd_candidates(self, node_ids) -> None:
+        """Probe each live node against its FD determinant buckets and
+        push every pair it currently makes applicable."""
+        heap = self._fd_heap
+        push = heapq.heappush
         views = self._views
         atom_keys = self._atom_keys
         statistics = self._statistics
         specs_by_relation = self._fd_specs_by_relation
         fd_buckets = self._fd_buckets
-        for node_id in self._iter_fd_dirty():
+        for node_id in node_ids:
             view = views[node_id]
             if not view.alive:
                 continue
@@ -872,27 +891,22 @@ class ColumnarChaseEngine:
                 continue
             key = atom_keys[node_id]
             for spec in specs:
-                values = tuple(key[position] for position in spec.lhs_positions)
-                bucket = fd_buckets[spec.slot].get(values)
+                bucket = fd_buckets[spec.slot].get(
+                    tuple([key[position] for position in spec.lhs_positions]))
                 if bucket is None or len(bucket) < 2:
                     continue
                 statistics.index_hits += 1
-                own_rhs = key[spec.rhs_position]
+                rhs = spec.rhs_position
+                own_rhs = key[rhs]
+                slot = spec.slot
                 for other_id in bucket:
                     if other_id == node_id:
                         continue
                     statistics.triggers_examined += 1
-                    if atom_keys[other_id][spec.rhs_position] == own_rhs:
-                        continue
-                    first_id, second_id = ((node_id, other_id)
-                                           if node_id < other_id
-                                           else (other_id, node_id))
-                    candidate = (first_id, second_id, spec.order, spec)
-                    if best is None or candidate[:3] < best[:3]:
-                        best = candidate
-        if best is None:
-            return None
-        return best[3], best[0], best[1]
+                    if atom_keys[other_id][rhs] != own_rhs:
+                        push(heap, (node_id, other_id, slot)
+                             if node_id < other_id
+                             else (other_id, node_id, slot))
 
     def _apply_fd(self, spec: _FdSpec, first_id: int,
                   second_id: int) -> None:
@@ -1077,11 +1091,7 @@ class ColumnarChaseEngine:
         self._live_count = 0
         self._fd_dirty = False
         self._fd_rewritten.clear()
-        stores = self._stores
-        for relation in self._fd_watermarks:
-            store = stores.get(relation)
-            if store is not None:
-                self._fd_watermarks[relation] = len(store.row_nodes)
+        self._fd_heap.clear()
 
     # -- IND/TGD phase ---------------------------------------------------------
 

@@ -19,10 +19,10 @@ The result records whether the chase *saturated* (it is the complete,
 finite chase) or was *truncated* (it is a prefix of a larger, possibly
 infinite, chase).
 
-This module holds the configuration and result types every engine
-shares, the run instrumentation, and :func:`build_engine`, which
-constructs one of the two implementations :mod:`repro.chase.registry`
-names:
+This module holds what every engine shares — the configuration and
+result types, the FD rule's merge policy (:func:`resolve_merge`), the
+run instrumentation — and :func:`build_engine`, which constructs one of
+the two implementations :mod:`repro.chase.registry` names:
 
 * :class:`~repro.chase.columnar.ColumnarChaseEngine` (the default,
   ``engine="columnar"``) is the production engine: an interned-integer
@@ -40,6 +40,10 @@ lexicographically first conjunct, lexicographically first dependency —
 so their results agree node for node, not merely up to isomorphism.  The
 pending IND applications are kept in a heap keyed by ``(level, conjunct
 id, IND index)``, which realises the paper's selection rule.
+
+On FD-only Σ the chase is the classical Maier–Mendelzon–Sagiv chase (the
+paper's reference [11]); FD-only containment and the optimizer's FD
+stage run it through :func:`build_engine` like every other chase.
 """
 
 from __future__ import annotations
@@ -59,7 +63,32 @@ from repro.obs.clock import monotonic
 from repro.obs.tracing import current_span, maybe_span
 from repro.queries.conjunct import Conjunct
 from repro.queries.conjunctive_query import ConjunctiveQuery
-from repro.terms.term import Term
+from repro.terms.term import Constant, Term, lexicographic_min
+
+
+class ConstantClash(Exception):
+    """Internal signal: the FD rule tried to merge two distinct constants."""
+
+
+def resolve_merge(first: Term, second: Term) -> Tuple[Term, Term]:
+    """Survivor and loser of merging two symbols under the FD chase rule.
+
+    Raises :class:`ConstantClash` when both are distinct constants (the
+    paper's "delete all conjuncts and halt" case).
+    """
+    if first == second:
+        return first, second
+    first_const = isinstance(first, Constant)
+    second_const = isinstance(second, Constant)
+    if first_const and second_const:
+        raise ConstantClash(f"cannot merge distinct constants {first} and {second}")
+    if first_const:
+        return first, second
+    if second_const:
+        return second, first
+    survivor = lexicographic_min(first, second)
+    loser = second if survivor == first else first
+    return survivor, loser
 
 
 class ChaseVariant(Enum):

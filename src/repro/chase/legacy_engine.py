@@ -34,6 +34,8 @@ from repro.chase.engine import (
     ChaseResult,
     ChaseStatistics,
     ChaseVariant,
+    ConstantClash,
+    resolve_merge,
     run_with_instrumentation,
 )
 from repro.chase.events import (
@@ -43,7 +45,6 @@ from repro.chase.events import (
     INDApplication,
     TGDApplication,
 )
-from repro.chase.fd_chase import ConstantClash, resolve_merge
 from repro.dependencies.dependency_set import DependencySet
 from repro.dependencies.functional import FunctionalDependency
 from repro.dependencies.inclusion import InclusionDependency

@@ -2,11 +2,11 @@
 
 Each stage preserves equivalence under Σ and records what it did:
 
-1. **FD simplification** — chase the query with Σ's FDs; this merges
-   variables that the FDs force equal and coalesces duplicate atoms
-   (classical tableau simplification).  If the chase fails on a constant
-   clash the query is unsatisfiable on every Σ-database and the report
-   says so.
+1. **FD simplification** — chase the query with Σ's FDs on the chase
+   engine; this merges variables that the FDs force equal and coalesces
+   duplicate atoms (classical tableau simplification).  If the chase
+   fails on a constant clash the query is unsatisfiable on every
+   Σ-database and the report says so.
 2. **Join elimination** — repeatedly drop a conjunct c whenever
    ``Σ ⊨ (Q − c) ⊆ Q`` (the other direction always holds), i.e. whenever
    the dependencies guarantee the dropped atom's existence.  This is the
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.chase.fd_chase import fd_only_chase
+from repro.chase.engine import ChaseConfig, build_engine
 from repro.containment.equivalence import are_equivalent
 from repro.containment.result import ContainmentResult
 from repro.dependencies.dependency_set import DependencySet
@@ -95,11 +95,15 @@ class OptimizationReport:
 
 def simplify_with_fds(query: ConjunctiveQuery, dependencies: DependencySet,
                       steps: Optional[List[RewriteStep]] = None) -> Optional[ConjunctiveQuery]:
-    """Stage 1: chase with the FDs of Σ; ``None`` means unsatisfiable."""
-    fds = dependencies.functional_dependencies()
-    if not fds:
+    """Stage 1: chase with the FDs of Σ; ``None`` means unsatisfiable.
+
+    An FD-only chase creates no conjunct, so node *i* of the chase is the
+    query's *i*-th conjunct, and each surviving atom keeps its label.
+    """
+    if not dependencies.functional_dependencies():
         return query
-    result = fd_only_chase(query, fds)
+    fds = dependencies if dependencies.is_fd_only() else dependencies.fd_part()
+    result = build_engine(query, fds, ChaseConfig(record_trace=False)).run()
     if result.failed:
         if steps is not None:
             steps.append(RewriteStep(
@@ -108,15 +112,22 @@ def simplify_with_fds(query: ConjunctiveQuery, dependencies: DependencySet,
                             "empty on every database obeying Σ",
             ))
         return None
-    chased = result.query
-    assert chased is not None
-    if steps is not None and (result.steps > 0 or len(chased) != len(query)):
+    merges = result.statistics.fd_steps
+    conjuncts = [node.conjunct.with_label(query.conjuncts[node.node_id].label)
+                 for node in result.graph]
+    if steps is not None and (merges > 0 or len(conjuncts) != len(query)):
         steps.append(RewriteStep(
             stage="fd-simplify",
-            description=f"FD chase applied {result.steps} merge(s), "
-                        f"{len(query)} -> {len(chased)} conjuncts",
+            description=f"FD chase applied {merges} merge(s), "
+                        f"{len(query)} -> {len(conjuncts)} conjuncts",
         ))
-    return chased.renamed(query.name)
+    return ConjunctiveQuery(
+        input_schema=query.input_schema,
+        conjuncts=conjuncts,
+        summary_row=result.summary_row,
+        output_attributes=query.output_attributes,
+        name=query.name,
+    )
 
 
 def eliminate_redundant_joins(query: ConjunctiveQuery, dependencies: DependencySet,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import Solver
 from repro.chase.engine import ChaseVariant
 from repro.containment.bounds import lemma5_level_bound, theorem2_level_bound
 from repro.containment.decision import contains, is_contained
@@ -129,6 +130,33 @@ class TestFDContainment:
         result = contained_under_fds(q, q_prime, sigma)
         assert result.holds and result.certain
         assert result.method == "failed-chase"
+
+    def test_fd_only_positive_answer_carries_a_certificate(self, emp_dep_schema):
+        # The EMP/DEP pair of test_fd_containment_uses_chase: Q' maps into
+        # the FD chase of Q, so the answer can ship a proof.
+        sigma = DependencySet([FunctionalDependency("EMP", ["emp"], "dept")],
+                              schema=emp_dep_schema)
+        q = (
+            QueryBuilder(emp_dep_schema, "Q")
+            .head("e", "d2")
+            .atom("EMP", "e", "s1", "d1")
+            .atom("EMP", "e", "s2", "d2")
+            .atom("DEP", "d1", "l")
+            .build()
+        )
+        q_prime = (
+            QueryBuilder(emp_dep_schema, "Qp")
+            .head("e", "d")
+            .atom("EMP", "e", "s", "d")
+            .atom("DEP", "d", "l")
+            .build()
+        )
+        result = Solver().is_contained(q, q_prime, sigma, with_certificate=True)
+        assert result.holds and result.method == "fd-chase"
+        assert result.certificate is not None
+        assert result.certificate.verify()
+        assert result.certificate.proof_size() == 3
+        assert Solver().is_contained(q, q_prime, sigma).certificate is None
 
 
 class TestINDContainment:

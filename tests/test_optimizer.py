@@ -50,6 +50,36 @@ class TestSimplifyWithFDs:
     def test_no_fds_is_identity(self, intro):
         assert simplify_with_fds(intro.q1, intro.dependencies, []) == intro.q1
 
+    def test_merged_atoms_keep_their_input_labels(self, emp_dep_schema):
+        # The FD stage merges c2 into c1 and c4 into c3; the report keeps
+        # the survivors' own labels and names the merges in its step.
+        fds = [
+            FunctionalDependency("EMP", ["emp"], "sal"),
+            FunctionalDependency("EMP", ["emp"], "dept"),
+            FunctionalDependency("DEP", ["dept"], "loc"),
+        ]
+        q = (
+            QueryBuilder(emp_dep_schema, "Q")
+            .head("e", "l")
+            .atom("EMP", "e", "s1", "d1")
+            .atom("EMP", "e", "s2", "d2")
+            .atom("DEP", "d2", "l")
+            .atom("DEP", "d1", "l2")
+            .build()
+        )
+        with_ind = fds + [InclusionDependency("EMP", ["dept"], "DEP", ["dept"])]
+        for sigma in (DependencySet(fds, schema=emp_dep_schema),
+                      DependencySet(with_ind, schema=emp_dep_schema)):
+            simplified = simplify_with_fds(q, sigma, [])
+            assert simplified.name == "Q"
+            assert [c.label for c in simplified.conjuncts] == ["c1", "c3"]
+            report = optimize(q, sigma)
+            assert [c.label for c in report.optimized.conjuncts] == ["c1", "c3"]
+            assert [(step.stage, step.description) for step in report.steps] == [
+                ("fd-simplify", "FD chase applied 3 merge(s), 4 -> 2 conjuncts")]
+            assert str(report.optimized) == (
+                "Q_optimized(e, l) :- EMP(e, s1, d1), DEP(d1, l)")
+
 
 class TestJoinElimination:
     def test_intro_example_dep_join_removed(self, intro):
