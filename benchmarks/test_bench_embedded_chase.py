@@ -1,24 +1,24 @@
-"""E18 — embedded-dependency chase: general TGDs vs. the IND fast path.
+"""E18 — embedded-dependency chase: an IND set against its TGD encoding.
 
 PR 5 opened the general-Σ scenario class: TGDs/EGDs with arbitrary CQ
-bodies chase through a generic trigger search (homomorphism enumeration
-per round) instead of the per-IND pending heap.  The columnar engine
-carries single-atom, IND-shaped TGDs on the pending heap alongside the
-INDs and sends only the general rules through the semi-naive trigger
-index.  This benchmark prices that generality on the one workload where
-both paths express the same constraints — a weakly-acyclic IND set and
-its ``as_tgd`` normalization:
+bodies, chased through a generic trigger search.  An IND-shaped TGD is
+not such a rule: in the columnar engine every single-atom rule, an IND
+or its ``as_tgd`` form, applies through one recipe on the pending heap,
+and only general rules reach the semi-naive trigger index.  This
+benchmark runs the one workload where both encodings express the same
+constraints — a weakly-acyclic IND set and its ``as_tgd``
+normalization — and checks:
 
-* **throughput**: both encodings are chased to saturation under both
-  engines; the wall-clock ratio TGD/IND is recorded in ``extra_info``
-  (the generic path is expected to be slower — the number is the price
-  of generality, tracked so it cannot silently explode);
-* **correctness** (the acceptance criterion): the two encodings build
-  chases with identical atom structure per level and yield identical
-  containment verdicts through ``Solver.is_contained``;
-* **exactness**: the weakly-acyclic TGD encoding gets ``certain``
-  verdicts in both directions — the dispatcher's termination-certified
-  deepening at work.
+* **one chase**: the two encodings build chases with identical atom
+  structure per level, each node for node identical across the two
+  engines;
+* **same verdicts** (the acceptance criterion): identical containment
+  verdicts through ``Solver.is_contained``, ``certain`` in both
+  directions for the weakly-acyclic TGD encoding — the dispatcher's
+  termination-certified deepening at work;
+* **the ratio**: both encodings are timed to saturation, and the
+  wall-clock ratio TGD/IND (with the trigger index's work counters on
+  the TGD run) is recorded in ``extra_info``.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def test_e18_weakly_acyclic_chase_throughput(benchmark, embedded_workload, encod
 @pytest.mark.benchmark(group="E18-embedded-chase")
 def test_e18_encodings_build_the_same_chase(benchmark, embedded_workload):
     """Same atoms per (relation, level) under both encodings and engines;
-    the TGD/IND wall-clock ratio is recorded as the price of generality."""
+    the TGD/IND wall-clock ratio is recorded."""
     _, inds, tgds, query = embedded_workload
 
     tgd_times = []

@@ -28,17 +28,20 @@ core onto dense integers:
   applicable is pushed, and a popped pair is re-checked before it is
   applied — so the first pair that still applies is the paper's choice,
   and the work is paid once per changed fact, not once per merge;
-* IND applications and *fast* TGDs (single trivial body atom, single
-  head atom — every IND-expressible rule qualifies) share one pending
-  heap keyed ``(level, node id, kind, dependency index)``, realising the
-  combined IND-vs-TGD competition ``(level, node-id tuple, kind, index)``
-  without the general trigger machinery.  General TGDs and all EGDs run
-  through the shared :class:`SemiNaiveTriggerIndex` over a columnar
-  :class:`TriggerStorage` whose values are interned ids.
+* every **single-atom rule** — each IND, and each TGD with one trivial
+  body atom and one head atom, the IND's TGD form — applies through one
+  recipe: a head template, a satisfaction index, a pending heap keyed
+  ``(level, node id, kind, dependency index)`` that realises the
+  combined competition ``(level, node-id tuple, kind, index)``, and one
+  application method that records the IND or TGD event of the rule's
+  kind.  General TGDs and all EGDs run through the shared
+  :class:`SemiNaiveTriggerIndex`, which matches rule tables encoded
+  into interned ids against the engine's atom keys.
 
-Everything that depends only on (Σ, schema) — resolved IND/FD positions,
-target templates, the fast/slow TGD split, per-relation heap plans — is
-compiled once into an immutable :class:`CompiledPlan`, memoised on the
+Everything that depends only on (Σ, schema) — the single-atom rules'
+templates and key positions, FD positions, per-relation heap plans, and
+the trigger index's rule tables — is compiled once into an immutable
+:class:`CompiledPlan`, memoised on the
 :class:`~repro.dependencies.dependency_set.DependencySet` per schema
 signature and shared by every run over that Σ, concurrent ones included.
 An engine instance holds only per-run state.
@@ -55,14 +58,15 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.chase.chase_graph import ChaseGraph
 from repro.chase.embedded_triggers import (
     EGDTrigger,
     SemiNaiveTriggerIndex,
     TGDTrigger,
-    TriggerStorage,
+    TriggerRules,
+    is_trivial_body,
 )
 from repro.chase.engine import (
     ChaseConfig,
@@ -81,6 +85,7 @@ from repro.chase.events import (
 )
 from repro.dependencies.dependency_set import DependencySet
 from repro.dependencies.functional import FunctionalDependency
+from repro.dependencies.inclusion import InclusionDependency
 from repro.queries.conjunct import Conjunct
 from repro.queries.conjunctive_query import ConjunctiveQuery
 from repro.relational.schema import DatabaseSchema
@@ -102,7 +107,7 @@ class _ColNode:
 
     Duck-types the slice of :class:`ChaseNode` the shared trigger
     machinery reads (``node_id``, ``relation``, ``level``, ``alive``) —
-    terms travel separately, through the columnar :class:`TriggerStorage`.
+    terms travel separately, as the engine's atom keys.
     ``row`` is the node's row in its relation's column store; ``parent``
     is the *current* ordinary parent (merges redirect it), while the
     creation-time arc stays in the engine's arc arrays.
@@ -159,74 +164,132 @@ class _FdSpec:
         self.rhs_position = rhs_position
 
 
-class _FastTgd:
-    """A TGD the pending heap can carry: one trivial body atom (distinct
-    variables, no constants) and one head atom.  Every IND-expressible
-    rule qualifies, so mixed FD/IND workloads never touch the general
-    trigger machinery at all.
+class _SingleAtomRule:
+    """A rule the pending heap carries: one trivial body atom (distinct
+    variables, no constants) and one head atom.  Every IND is one, and
+    so is every IND-shaped TGD, so both apply through one recipe.
 
-    The head-satisfaction index mirrors the R-chase IND buckets: facts of
-    the head relation meeting the head's constant and repeated-existential
-    constraints are bucketed by their values at the frontier positions; a
-    body fact's requirement is satisfied iff the bucket at its projected
-    frontier values is non-empty.  The buckets are per-run state, held by
-    the engine under ``slot``.
+    ``kind`` and ``index`` place the rule in the heap order — kind 0 is
+    an IND with its index in Σ's IND order, kind 1 a TGD with its index
+    in Σ's TGD order — and ``slot`` numbers it among the plan's
+    single-atom rules, addressing its per-run indexes.
+
+    The new fact is ``template`` read off a pool of ids: the source
+    fact's key, then ``constants`` (rule constants' fixed ids), then one
+    fresh NDV per entry of ``fresh_attributes`` (each existential
+    variable's attribute at its first head position, in head order).
+
+    The satisfaction index buckets head-relation facts by their values
+    at ``head_positions``, after the facts pass ``const_eqs`` (position,
+    constant id) and ``equal_positions`` (position pairs that must hold
+    one value: a repeated frontier or existential variable); a source
+    fact's requirement is satisfied iff the bucket at its values at
+    ``body_projection`` is non-empty.  An IND checks nothing: its key is
+    the target's values at Y, probed with the source's values at X.
     """
 
-    __slots__ = ("slot", "tgd", "body_relation", "head_relation",
-                 "frontier_eqs", "const_eqs", "exist_groups",
-                 "body_projection", "n_frontier", "head_template")
+    __slots__ = ("kind", "index", "slot", "dependency", "body_relation",
+                 "head_relation", "template", "constants", "fresh_attributes",
+                 "body_projection", "head_positions", "const_eqs",
+                 "equal_positions")
 
-    def __init__(self, slot, tgd, body_relation, head_relation,
-                 frontier_eqs, const_eqs, exist_groups, body_projection,
-                 head_template):
+    def __init__(self, kind: int, index: int, slot: int, dependency,
+                 body_relation: str, head_relation: str,
+                 template: Tuple[int, ...], constants: Tuple[int, ...],
+                 fresh_attributes: Tuple[str, ...],
+                 body_projection: Tuple[int, ...],
+                 head_positions: Tuple[int, ...],
+                 const_eqs: Tuple[Tuple[int, int], ...] = (),
+                 equal_positions: Tuple[Tuple[int, int], ...] = ()):
+        self.kind = kind
+        self.index = index
         self.slot = slot
-        self.tgd = tgd
+        self.dependency = dependency
         self.body_relation = body_relation
         self.head_relation = head_relation
-        self.frontier_eqs = frontier_eqs        # (head position, frontier slot)
-        self.const_eqs = const_eqs              # (head position, constant id)
-        self.exist_groups = exist_groups        # repeated-existential positions
-        self.body_projection = body_projection  # body position per frontier slot
-        self.n_frontier = len(body_projection)
-        self.head_template = head_template      # per head position, see builder
+        self.template = template
+        self.constants = constants
+        self.fresh_attributes = fresh_attributes
+        self.body_projection = body_projection
+        self.head_positions = head_positions
+        self.const_eqs = const_eqs
+        self.equal_positions = equal_positions
+
+    @classmethod
+    def from_ind(cls, ind: InclusionDependency, index: int, slot: int,
+                 schema: DatabaseSchema) -> "_SingleAtomRule":
+        """``R[X] ⊆ S[Y]`` straight from its positions: copy c[X] into
+        the Y columns, a fresh NDV into every other column."""
+        lhs = ind.lhs_positions(schema)
+        rhs = ind.rhs_positions(schema)
+        source_arity = schema.relation(ind.lhs_relation).arity
+        target = schema.relation(ind.rhs_relation)
+        template = []
+        fresh_attributes = []
+        for position in range(target.arity):
+            if position in rhs:
+                # lhs and rhs positions pair up by list index.
+                template.append(lhs[rhs.index(position)])
+            else:
+                template.append(source_arity + len(fresh_attributes))
+                fresh_attributes.append(target.attribute_name_at(position))
+        return cls(0, index, slot, ind, ind.lhs_relation, ind.rhs_relation,
+                   tuple(template), (), tuple(fresh_attributes), lhs, rhs)
+
+    @classmethod
+    def from_tgd(cls, tgd, index: int, slot: int, schema: DatabaseSchema,
+                 constant_ids: Dict[Term, int]) -> "_SingleAtomRule":
+        """A single-atom TGD: frontier columns copy their body column,
+        constants their fixed id, existentials one fresh NDV each."""
+        body = tgd.body[0]
+        head = tgd.head[0]
+        target = schema.relation(head.relation)
+        body_position = {variable: position
+                         for position, variable in enumerate(body.terms)}
+        constants = tuple(constant_ids[term] for term in head.terms
+                          if not isinstance(term, Variable))
+        fresh_base = len(body.terms) + len(constants)
+        template = []
+        fresh_attributes = []
+        const_eqs = []
+        first_position: Dict[Variable, int] = {}
+        fresh_slot: Dict[Variable, int] = {}
+        body_projection = []
+        head_positions = []
+        equal_positions = []
+        for position, term in enumerate(head.terms):
+            if not isinstance(term, Variable):
+                template.append(len(body.terms) + len(const_eqs))
+                const_eqs.append((position, constant_ids[term]))
+                continue
+            first = first_position.setdefault(term, position)
+            if first != position:
+                equal_positions.append((first, position))
+            if term in body_position:
+                template.append(body_position[term])
+                if first == position:
+                    body_projection.append(body_position[term])
+                    head_positions.append(position)
+            else:
+                if term not in fresh_slot:
+                    fresh_slot[term] = fresh_base + len(fresh_attributes)
+                    fresh_attributes.append(target.attribute_name_at(position))
+                template.append(fresh_slot[term])
+        return cls(1, index, slot, tgd, body.relation, head.relation,
+                   tuple(template), constants, tuple(fresh_attributes),
+                   tuple(body_projection), tuple(head_positions),
+                   tuple(const_eqs), tuple(equal_positions))
 
     def head_key(self, key: Tuple[int, ...]) -> Optional[Tuple[int, ...]]:
-        """The frontier-value bucket key of a head-relation fact, or None
-        when the fact cannot satisfy the head under any frontier values."""
+        """The bucket key of a head-relation fact, or None when the fact
+        cannot satisfy the head under any frontier values."""
         for position, constant in self.const_eqs:
             if key[position] != constant:
                 return None
-        for group in self.exist_groups:
-            first = key[group[0]]
-            for position in group:
-                if key[position] != first:
-                    return None
-        slots: List[Optional[int]] = [None] * self.n_frontier
-        for position, slot in self.frontier_eqs:
-            value = key[position]
-            held = slots[slot]
-            if held is None:
-                slots[slot] = value
-            elif held != value:
+        for first, other in self.equal_positions:
+            if key[first] != key[other]:
                 return None
-        return tuple(slots)
-
-
-class _ColumnarStorage(TriggerStorage):
-    """Trigger storage over interned ids: a node's terms are its atom key."""
-
-    __slots__ = ("_atom_keys", "_intern_term")
-
-    def __init__(self, atom_keys: List[Tuple[int, ...]], intern):
-        self._atom_keys = atom_keys
-        self._intern_term = intern
-
-    def terms_of(self, node) -> Sequence[int]:  # type: ignore[override]
-        return self._atom_keys[node.node_id]
-
-    def encode(self, term: Term) -> int:  # type: ignore[override]
-        return self._intern_term(term)
+        return tuple([key[position] for position in self.head_positions])
 
 
 class CompiledPlan:
@@ -235,24 +298,22 @@ class CompiledPlan:
     Built by :meth:`DependencySet.compiled` once per schema signature and
     shared by every run over that Σ — concurrent runs on thread shards
     included — so nothing here is mutated after construction.  Per-run
-    indexes live on the engine, addressed by the IND/FD indexes and the
-    fast-TGD ``slot`` numbers recorded here.
+    indexes live on the engine, addressed by the FD and single-atom rule
+    ``slot`` numbers recorded here.
 
     Rule constants get fixed ids: every run seeds its interner with
     :attr:`constant_ids`, so a rule constant has the same id in every run
-    and the fast-TGD templates can carry ids directly.
+    and the rule templates and trigger tables can carry ids directly.
     """
 
-    __slots__ = ("fds", "inds", "egds", "constant_ids",
-                 "ind_positions", "ind_templates", "ind_target_plans",
+    __slots__ = ("fds", "egds", "constant_ids", "rules", "rules_by_head",
                  "cross_arc_plans", "fd_specs", "fd_specs_by_relation",
-                 "fast_by_global", "fast_by_head_rel", "slow_tgds",
-                 "slow_global_index", "pending_plans", "can_merge",
-                 "needs_atom_index")
+                 "general_tgd_indexes", "trigger_rules", "pending_plans",
+                 "can_merge", "needs_atom_index")
 
     def __init__(self, dependencies: DependencySet, schema: DatabaseSchema):
         self.fds = tuple(dependencies.functional_dependencies())
-        self.inds = tuple(dependencies.inclusion_dependencies())
+        inds = dependencies.inclusion_dependencies()
         tgds = tuple(dependencies.tgds())
         self.egds = tuple(dependencies.egds())
         #: Rule constants → their fixed ids, in first-occurrence order.
@@ -264,47 +325,58 @@ class CompiledPlan:
                         self.constant_ids.setdefault(
                             term, len(self.constant_ids))
 
-        ind_positions = []
-        #: Per IND: (target relation, per-position source *key* position
-        #: or None for a fresh NDV, per-position attribute name) — the
-        #: new conjunct's recipe.
-        ind_templates = []
-        targets: Dict[str, List[Tuple[int, Tuple[int, ...]]]] = {}
-        cross_arcs: Dict[str, List[tuple]] = {}
+        # -- single-atom rules: every IND, then the IND-shaped TGDs -------
+        ind_rules = [_SingleAtomRule.from_ind(ind, index, index, schema)
+                     for index, ind in enumerate(inds)]
+        slot = len(ind_rules)
+        tgd_rules: List[Optional[_SingleAtomRule]] = []
+        general_tgds = []
+        general_tgd_indexes = []
+        for index, tgd in enumerate(tgds):
+            if len(tgd.head) == 1 and is_trivial_body(tgd.body):
+                tgd_rules.append(_SingleAtomRule.from_tgd(
+                    tgd, index, slot, schema, self.constant_ids))
+                slot += 1
+            else:
+                tgd_rules.append(None)
+                general_tgds.append(tgd)
+                general_tgd_indexes.append(index)
+        #: ``rules[kind][index]``: the single-atom rule behind a pending
+        #: heap entry (None for a TGD the trigger index serves).
+        self.rules = (tuple(ind_rules), tuple(tgd_rules))
+        by_head: Dict[str, List[tuple]] = {}
         pending: Dict[str, List[Tuple[int, int]]] = {}
-        copies_every_column = False
-        for index, ind in enumerate(self.inds):
-            lhs = ind.lhs_positions(schema)
-            rhs = ind.rhs_positions(schema)
-            ind_positions.append((lhs, rhs))
-            target = schema.relation(ind.rhs_relation)
-            # lhs and rhs positions pair up by list index.
-            slots = tuple(lhs[rhs.index(position)] if position in rhs
-                          else None
-                          for position in range(target.arity))
-            copies_every_column = copies_every_column or None not in slots
-            ind_templates.append((ind.rhs_relation, slots,
-                                  target.attribute_names))
-            targets.setdefault(ind.rhs_relation, []).append((index, rhs))
-            cross_arcs.setdefault(ind.lhs_relation, []).append(
-                (index, ind, _dependency_str(ind), lhs))
-            pending.setdefault(ind.lhs_relation, []).append((0, index))
-        self.ind_positions = tuple(ind_positions)
-        self.ind_templates = tuple(ind_templates)
-        #: Per target relation, the (IND index, rhs positions) pairs its
-        #: facts are entered under in the satisfaction indexes.
-        self.ind_target_plans = {relation: tuple(entries)
-                                 for relation, entries in targets.items()}
-        #: Per source relation, (IND index, IND, rendering, lhs positions)
-        #: for the R-chase cross-arc pass.
+        cross_arcs: Dict[str, List[Tuple[_SingleAtomRule, str]]] = {}
+        for rule in ind_rules + [rule for rule in tgd_rules if rule]:
+            checked = rule if rule.const_eqs or rule.equal_positions else None
+            by_head.setdefault(rule.head_relation, []).append(
+                (rule.slot, rule.head_positions, checked))
+            pending.setdefault(rule.body_relation, []).append(
+                (rule.kind, rule.index))
+            if rule.kind == 0:
+                cross_arcs.setdefault(rule.body_relation, []).append(
+                    (rule, _dependency_str(rule.dependency)))
+        #: Per head relation, (slot, head positions, rule) of the rules
+        #: whose satisfaction index its facts are entered in; the rule is
+        #: None when its head has nothing to check (every IND), and the
+        #: key is then read straight off the head positions.
+        self.rules_by_head = {relation: tuple(entries)
+                              for relation, entries in by_head.items()}
+        #: Per source relation, the pending-heap (kind, dependency index)
+        #: entries a new fact of that relation must enqueue — INDs first
+        #: (kind 0), then TGDs (kind 1).
+        self.pending_plans = {relation: tuple(entries)
+                              for relation, entries in pending.items()}
+        #: Per source relation, (IND rule, rendering) for the R-chase
+        #: cross-arc pass.
         self.cross_arc_plans = {relation: tuple(entries)
                                 for relation, entries in cross_arcs.items()}
 
         fd_specs = []
         fd_specs_by_relation: Dict[str, List[_FdSpec]] = {}
-        for slot, fd in enumerate(self.fds):
+        for fd_slot, fd in enumerate(self.fds):
             relation = schema.relation(fd.relation)
-            spec = _FdSpec(fd, slot, fd.lhs_positions(relation),
+            spec = _FdSpec(fd, fd_slot, fd.lhs_positions(relation),
                            fd.rhs_position(relation))
             fd_specs.append(spec)
             fd_specs_by_relation.setdefault(fd.relation, []).append(spec)
@@ -315,74 +387,28 @@ class CompiledPlan:
             relation: tuple(specs)
             for relation, specs in fd_specs_by_relation.items()}
 
-        # -- TGD split: heap-ridden fast rules vs trigger-index slow ones
-        self.fast_by_global: Dict[int, _FastTgd] = {}
-        fast_by_head_rel: Dict[str, List[_FastTgd]] = {}
-        slow_tgds = []
-        slow_global_index = []
-        for global_index, tgd in enumerate(tgds):
-            rule_plan = SemiNaiveTriggerIndex._rule_plan(tgd)
-            if rule_plan[5] and rule_plan[2] is not None:
-                fast = self._build_fast(tgd, rule_plan, schema)
-                self.fast_by_global[global_index] = fast
-                pending.setdefault(fast.body_relation, []).append(
-                    (1, global_index))
-                fast_by_head_rel.setdefault(fast.head_relation, []).append(fast)
-            else:
-                slow_global_index.append(global_index)
-                slow_tgds.append(tgd)
-        self.fast_by_head_rel = {relation: tuple(fasts)
-                                 for relation, fasts in fast_by_head_rel.items()}
-        self.slow_tgds = tuple(slow_tgds)
-        self.slow_global_index = tuple(slow_global_index)
-
-        #: Per source relation, the pending-heap (kind, dependency index)
-        #: entries a new fact of that relation must enqueue — INDs first
-        #: (kind 0), then fast TGDs (kind 1).
-        self.pending_plans = {relation: tuple(entries)
-                              for relation, entries in pending.items()}
+        #: The general TGDs' indexes in Σ's TGD order, by trigger-index
+        #: TGD index — the ``index`` of their heap competition key.
+        self.general_tgd_indexes = tuple(general_tgd_indexes)
+        #: The trigger index's tables, or None when Σ has no general TGD
+        #: and no EGD.
+        self.trigger_rules = (
+            TriggerRules(general_tgds, self.egds, self.constant_ids)
+            if general_tgds or self.egds else None)
 
         #: With no FDs and no EGDs, no symbol merge can ever fire, so the
         #: per-column postings (which exist purely to serve merges) and
         #: the FD delta bookkeeping are skipped entirely.
         self.can_merge = bool(self.fds or self.egds)
         #: The atom-key index only ever gets probed by duplicate checks
-        #: (INDs/TGDs that mint no fresh NDV, slow multi-atom TGDs) and by
+        #: (single-atom rules that mint no fresh NDV, general TGDs) and by
         #: the post-merge conjunct coalescing; when Σ admits none of
         #: those, runs skip maintaining it.
         self.needs_atom_index = (
             self.can_merge
-            or bool(self.slow_tgds)
-            or copies_every_column
-            or any(all(entry[0] != 2 for entry in fast.head_template)
-                   for fast in self.fast_by_global.values()))
-
-    def _build_fast(self, tgd, rule_plan, schema: DatabaseSchema) -> _FastTgd:
-        frontier = rule_plan[3]
-        head = rule_plan[2]
-        frontier_eqs, raw_const_eqs, exist_groups = rule_plan[6]
-        constant_ids = self.constant_ids
-        const_eqs = tuple((position, constant_ids[constant])
-                          for position, constant in raw_const_eqs)
-        body_atom = tgd.body[0]
-        body_pos = {variable: position
-                    for position, variable in enumerate(body_atom.terms)}
-        body_projection = tuple(body_pos[variable] for variable in frontier)
-        target = schema.relation(head.relation)
-        #: (0, id, -): constant id; (1, body position, -): copy the bound
-        #: value; (2, variable, attribute): fresh NDV shared across the
-        #: variable's occurrences.
-        template: List[tuple] = []
-        for position, term in enumerate(head.terms):
-            if not isinstance(term, Variable):
-                template.append((0, constant_ids[term], None))
-            elif term in body_pos:
-                template.append((1, body_pos[term], None))
-            else:
-                template.append((2, term, target.attribute_name_at(position)))
-        return _FastTgd(len(self.fast_by_global), tgd, body_atom.relation,
-                        head.relation, frontier_eqs, const_eqs, exist_groups,
-                        body_projection, tuple(template))
+            or bool(general_tgds)
+            or any(not rule.fresh_attributes
+                   for rules in self.rules for rule in rules if rule))
 
 
 class ColumnarChaseEngine:
@@ -403,6 +429,7 @@ class ColumnarChaseEngine:
         self._schema: DatabaseSchema = query.input_schema
         plan = dependencies.compiled(self._schema, CompiledPlan)
         self._config = config or ChaseConfig()
+        self._oblivious = self._config.variant is ChaseVariant.OBLIVIOUS
         self._trace = ChaseTrace()
         self._statistics = ChaseStatistics()
         self._failed = False
@@ -412,18 +439,13 @@ class ColumnarChaseEngine:
 
         # -- the shared, read-only plan, bound for the hot paths ----------
         self._fds = plan.fds
-        self._inds = plan.inds
         self._egds = plan.egds
-        self._ind_positions = plan.ind_positions
-        self._ind_templates = plan.ind_templates
-        self._ind_target_plans = plan.ind_target_plans
+        self._rules = plan.rules
+        self._rules_by_head = plan.rules_by_head
         self._cross_arc_plans = plan.cross_arc_plans
         self._fd_specs = plan.fd_specs
         self._fd_specs_by_relation = plan.fd_specs_by_relation
-        self._fast_by_global = plan.fast_by_global
-        self._fast_by_head_rel = plan.fast_by_head_rel
-        self._slow_tgds = plan.slow_tgds
-        self._slow_global_index = plan.slow_global_index
+        self._general_tgd_indexes = plan.general_tgd_indexes
         self._pending_plans = plan.pending_plans
         self._can_merge = plan.can_merge
         self._needs_atom_index = plan.needs_atom_index
@@ -452,24 +474,21 @@ class ColumnarChaseEngine:
         self._result_graph: Optional[ChaseGraph] = None
 
         # -- work queues and persistent indexes --------------------------
-        #: (level, node id, kind, dependency index); kind 0 is an IND with
-        #: its IND index, kind 1 a fast TGD with its *global* TGD index —
-        #: heap order therefore IS the combined selection priority
-        #: ``(level, (node id,), kind, index)``.
+        #: (level, node id, kind, dependency index) of a single-atom rule
+        #: (``plan.rules[kind][index]``) — heap order therefore IS the
+        #: combined selection priority ``(level, (node id,), kind, index)``.
         self._pending: List[Tuple[int, int, int, int]] = []
-        self._applied: Set[Tuple[int, int]] = set()       # O-chase (node, IND)
-        self._applied_fast: Set[Tuple[int, int]] = set()  # O-chase (TGD, node)
-        self._applied_tgds: Set[Tuple[int, Tuple[int, ...]]] = set()  # slow
-        #: Per IND index, its satisfaction index: rhs-value tuple → holder
-        #: node ids; per fast-TGD slot, its head-satisfaction buckets.
-        #: Entries hold *sets* of node ids when merges can rewrite keys
-        #: (removal needs the membership), but collapse to the single
-        #: minimum id — first writer wins, ids are monotone — when Σ has
-        #: no FDs/EGDs and keys are immortal.  Created on first use, so a
-        #: run over a large Σ pays only for the dependencies it touches.
-        self._ind_satisfied: Dict[int, Dict[Tuple[int, ...], "int | Set[int]"]] = (
-            defaultdict(dict))
-        self._fast_buckets: Dict[int, Dict[Tuple[int, ...], "int | Set[int]"]] = (
+        #: O-chase: the (rule slot, node id) applications already made.
+        self._applied: Set[Tuple[int, int]] = set()
+        self._applied_tgds: Set[Tuple[int, Tuple[int, ...]]] = set()  # general
+        #: Per single-atom rule slot, its satisfaction index: head-key
+        #: tuple → holder node ids.  Entries hold *sets* of node ids when
+        #: merges can rewrite keys (removal needs the membership), but
+        #: collapse to the single minimum id — first writer wins, ids are
+        #: monotone — when Σ has no FDs/EGDs and keys are immortal.
+        #: Created on first use, so a run over a large Σ pays only for the
+        #: rules it touches.
+        self._satisfied: Dict[int, Dict[Tuple[int, ...], "int | Set[int]"]] = (
             defaultdict(dict))
         self._flat_satisfied = not self._can_merge
         #: Per FD slot, determinant values → holder node ids.
@@ -497,13 +516,10 @@ class ColumnarChaseEngine:
         #: is the paper's ``(pair, FD)`` order.
         self._fd_heap: List[Tuple[int, int, int]] = []
         self._trigger_index: Optional[SemiNaiveTriggerIndex] = (
-            SemiNaiveTriggerIndex(
-                self._slow_tgds, self._egds, self._live_views,
-                self._views_getitem,
-                _ColumnarStorage(self._atom_keys, self._intern),
-                self._statistics,
-                oblivious=self._config.variant is ChaseVariant.OBLIVIOUS)
-            if (self._slow_tgds or self._egds) else None)
+            None if plan.trigger_rules is None else SemiNaiveTriggerIndex(
+                plan.trigger_rules, self._live_views, self._views_getitem,
+                self._atom_keys, self._statistics,
+                oblivious=self._config.variant is ChaseVariant.OBLIVIOUS))
 
     # -- construction helpers --------------------------------------------------
 
@@ -644,13 +660,11 @@ class ColumnarChaseEngine:
                 self._truncated = True
                 hit_conjunct_budget = True
                 break
-            kind, payload = application
-            if kind == "ind":
-                self._apply_ind(*payload)
-            elif kind == "fast":
-                self._apply_fast_tgd(*payload)
+            if isinstance(application, TGDTrigger):
+                self._apply_tgd(application)
             else:
-                self._apply_tgd(payload)
+                _, node_id, kind, index = application
+                self._apply_rule(self._rules[kind][index], node_id)
 
         if self._config.variant is ChaseVariant.RESTRICTED and not self._failed:
             self._record_cross_arcs()
@@ -737,29 +751,22 @@ class ColumnarChaseEngine:
             self._fd_buckets[spec.slot].setdefault(
                 tuple(key[position] for position in spec.lhs_positions),
                 set()).add(node_id)
-        targets = self._ind_target_plans.get(relation)
-        flat = self._flat_satisfied
-        if targets is not None:
-            self._statistics.triggers_examined += len(targets)
-            ind_satisfied = self._ind_satisfied
-            if flat:
-                for index, rhs_positions in targets:
-                    ind_satisfied[index].setdefault(
-                        tuple([key[position] for position in rhs_positions]),
-                        node_id)
-            else:
-                for index, rhs_positions in targets:
-                    vkey = tuple(
-                        [key[position] for position in rhs_positions])
-                    ind_satisfied[index].setdefault(vkey, set()).add(node_id)
-        for fast in self._fast_by_head_rel.get(relation, ()):
-            hkey = fast.head_key(key)
-            if hkey is not None:
-                buckets = self._fast_buckets[fast.slot]
-                if flat:
-                    buckets.setdefault(hkey, node_id)
+        entries = self._rules_by_head.get(relation)
+        if entries is not None:
+            self._statistics.triggers_examined += len(entries)
+            satisfied = self._satisfied
+            flat = self._flat_satisfied
+            for slot, positions, checked in entries:
+                if checked is None:
+                    hkey = tuple([key[position] for position in positions])
                 else:
-                    buckets.setdefault(hkey, set()).add(node_id)
+                    hkey = checked.head_key(key)
+                    if hkey is None:
+                        continue
+                if flat:
+                    satisfied[slot].setdefault(hkey, node_id)
+                else:
+                    satisfied[slot].setdefault(hkey, set()).add(node_id)
 
     def _unindex_key(self, view: _ColNode, key: Tuple[int, ...]) -> None:
         """Remove a node's current canonical key from the value indexes."""
@@ -781,23 +788,19 @@ class ColumnarChaseEngine:
                 bucket.discard(node_id)
                 if not bucket:
                     del buckets[values]
-        for index, rhs_positions in self._ind_target_plans.get(relation, ()):
-            satisfied = self._ind_satisfied[index]
-            vkey = tuple(key[position] for position in rhs_positions)
-            bucket = satisfied.get(vkey)
+        for slot, positions, checked in self._rules_by_head.get(relation, ()):
+            if checked is None:
+                hkey = tuple([key[position] for position in positions])
+            else:
+                hkey = checked.head_key(key)
+                if hkey is None:
+                    continue
+            buckets = self._satisfied[slot]
+            bucket = buckets.get(hkey)
             if bucket is not None:
                 bucket.discard(node_id)
                 if not bucket:
-                    del satisfied[vkey]
-        for fast in self._fast_by_head_rel.get(relation, ()):
-            hkey = fast.head_key(key)
-            if hkey is not None:
-                buckets = self._fast_buckets[fast.slot]
-                bucket = buckets.get(hkey)
-                if bucket is not None:
-                    bucket.discard(node_id)
-                    if not bucket:
-                        del buckets[hkey]
+                    del buckets[hkey]
 
     def _first_atom_node(self, relation: str,
                          key: Tuple[int, ...]) -> Optional[int]:
@@ -1095,15 +1098,6 @@ class ColumnarChaseEngine:
 
     # -- IND/TGD phase ---------------------------------------------------------
 
-    def _ind_requirement_satisfied(self, node_id: int, index: int) -> bool:
-        """R-chase: is there already a conjunct c' with c'[Y] = c[X]?"""
-        lhs_positions, _ = self._ind_positions[index]
-        key = self._atom_keys[node_id]
-        # `is not None`, not truthiness: a flat entry may be node id 0,
-        # and set entries are deleted (never left empty) on unindexing.
-        return self._ind_satisfied[index].get(
-            tuple([key[position] for position in lhs_positions])) is not None
-
     def _peek_pending(self) -> Optional[Tuple[int, int, int, int]]:
         """The next needed heap entry, popped; the caller pushes it back
         when it decides not to apply it.
@@ -1113,53 +1107,51 @@ class ColumnarChaseEngine:
         satisfied (R-chase) — all permanent conditions, so dropping them
         for good cannot deviate from the policy.
         """
-        oblivious = self._config.variant is ChaseVariant.OBLIVIOUS
+        oblivious = self._oblivious
         pending = self._pending
         views = self._views
+        rules = self._rules
         statistics = self._statistics
         while pending:
             entry = heapq.heappop(pending)
-            level, node_id, kind, dep_index = entry
+            level, node_id, kind, index = entry
             statistics.triggers_examined += 1
             view = views[node_id]
             if not view.alive:
                 continue
             if level != view.level:
                 continue
-            if kind == 0:
-                if oblivious:
-                    if (node_id, dep_index) in self._applied:
-                        continue
-                elif self._ind_requirement_satisfied(node_id, dep_index):
-                    statistics.index_hits += 1
+            rule = rules[kind][index]
+            if oblivious:
+                if (rule.slot, node_id) in self._applied:
                     continue
             else:
-                if oblivious:
-                    if (dep_index, node_id) in self._applied_fast:
-                        continue
-                else:
-                    fast = self._fast_by_global[dep_index]
-                    key = self._atom_keys[node_id]
-                    values = tuple(key[position]
-                                   for position in fast.body_projection)
-                    if self._fast_buckets[fast.slot].get(values) is not None:
-                        statistics.index_hits += 1
-                        continue
+                # R-chase: is there already a fact c' with c'[Y] = c[X]?
+                # `is not None`, not truthiness: a flat entry may be node
+                # id 0, and set entries are deleted (never left empty) on
+                # unindexing.
+                key = self._atom_keys[node_id]
+                if self._satisfied[rule.slot].get(tuple(
+                        [key[position] for position in rule.body_projection])
+                        ) is not None:
+                    statistics.index_hits += 1
+                    continue
             return entry
         return None
 
     def _next_expansion(self):
         """Step 2 of the policy: the minimum-priority creation application.
 
-        The pending heap already holds the INDs and fast TGDs in combined
-        priority order; only the slow (trigger-index) TGDs still compete
-        through an actives scan.  The overall minimum is the same one the
-        legacy engine's one-pool competition selects, so the chosen
-        application — and with it every node id — agrees across engines.
+        The pending heap already holds the single-atom rules in combined
+        priority order; only the general (trigger-index) TGDs still
+        compete through an actives scan.  The overall minimum is the same
+        one the legacy engine's one-pool competition selects, so the
+        chosen application — and with it every node id — agrees across
+        engines.
         """
         entry = self._peek_pending()
         trigger = None
-        if self._slow_tgds:
+        if self._general_tgd_indexes:
             actives = self._trigger_index.active_tgd_triggers(
                 self._config.variant is ChaseVariant.OBLIVIOUS,
                 self._applied_tgds)
@@ -1170,7 +1162,7 @@ class ColumnarChaseEngine:
                           else (entry[0], (entry[1],), entry[2], entry[3]))
         tgd_priority = (None if trigger is None
                         else (trigger.level, trigger.node_ids, 1,
-                              self._slow_global_index[trigger.index]))
+                              self._general_tgd_indexes[trigger.index]))
         choose_entry = tgd_priority is None or (
             entry_priority is not None and entry_priority < tgd_priority)
         chosen_level = (entry_priority if choose_entry else tgd_priority)[0]
@@ -1181,111 +1173,75 @@ class ColumnarChaseEngine:
                 heapq.heappush(self._pending, entry)
             return None
         if choose_entry:
-            if entry[2] == 0:
-                return ("ind", (entry[1], entry[3]))
-            return ("fast", (entry[3], entry[1]))
+            return entry
         if entry is not None:
             heapq.heappush(self._pending, entry)
-        return ("tgd", trigger)
+        return trigger
 
-    def _apply_ind(self, node_id: int, index: int) -> None:
-        """The IND chase rule: one new fact with lazily-named fresh NDVs."""
-        ind = self._inds[index]
+    def _apply_rule(self, rule: _SingleAtomRule, node_id: int) -> None:
+        """A single-atom rule application — the IND chase rule, and its
+        TGD form: one new fact with lazily-named fresh NDVs, recorded as
+        the rule's kind."""
         view = self._views[node_id]
-        key = self._atom_keys[node_id]
-        relation, slots, attrs = self._ind_templates[index]
         new_level = view.level + 1
-        self._applied.add((node_id, index))
+        if self._oblivious:
+            self._applied.add((rule.slot, node_id))
         statistics = self._statistics
         record = self._config.record_trace
+        is_ind = rule.kind == 0
 
         source_label = view.label
-        terms: List[int] = []
-        fresh_ids: List[int] = []
-        for slot, attribute in zip(slots, attrs):
-            if slot is not None:
-                terms.append(key[slot])
-            else:
-                fresh = self._fresh_id(source_label, attribute, new_level)
-                terms.append(fresh)
-                fresh_ids.append(fresh)
-        candidate = tuple(terms)
+        fresh_id = self._fresh_id
+        fresh_ids = [fresh_id(source_label, attribute, new_level)
+                     for attribute in rule.fresh_attributes]
+        values = self._atom_keys[node_id] + rule.constants + tuple(fresh_ids)
+        candidate = tuple([values[slot] for slot in rule.template])
         # A never-seen fresh id in the candidate makes a verbatim
-        # duplicate impossible, so the probe is only needed when the IND
-        # copies every column of the target.
+        # duplicate impossible, so only a rule that mints no fresh NDV
+        # probes for one.
         duplicate_id = (None if fresh_ids
-                        else self._first_atom_node(relation, candidate))
+                        else self._first_atom_node(rule.head_relation,
+                                                   candidate))
         if duplicate_id is not None:
-            duplicate = self._views[duplicate_id]
-            statistics.redundant_ind_applications += 1
             statistics.index_hits += 1
+            if is_ind:
+                statistics.redundant_ind_applications += 1
+            else:
+                statistics.redundant_tgd_applications += 1
             if record:
-                self._trace.record(INDApplication(
-                    dependency=ind, source_conjunct=view.label,
-                    created_conjunct=None, existing_conjunct=duplicate.label,
-                    level=duplicate.level))
+                duplicate = self._views[duplicate_id]
+                self._trace.record(
+                    INDApplication(
+                        dependency=rule.dependency, source_conjunct=source_label,
+                        created_conjunct=None,
+                        existing_conjunct=duplicate.label,
+                        level=duplicate.level)
+                    if is_ind else TGDApplication(
+                        dependency=rule.dependency,
+                        source_conjuncts=(source_label,),
+                        created_conjuncts=(), level=new_level))
             return
 
-        created = self._new_fact(relation, candidate, new_level,
-                                 parent=node_id, via=ind)
-        statistics.ind_steps += 1
+        created = self._new_fact(rule.head_relation, candidate, new_level,
+                                 parent=node_id, via=rule.dependency)
+        if is_ind:
+            statistics.ind_steps += 1
+        else:
+            statistics.tgd_steps += 1
         if new_level > statistics.max_level_reached:
             statistics.max_level_reached = new_level
         if record:
-            self._trace.record(INDApplication(
-                dependency=ind, source_conjunct=view.label,
-                created_conjunct=created.label, existing_conjunct=None,
-                level=new_level,
-                fresh_variables=tuple(self._term(tid) for tid in fresh_ids)))
-
-    def _apply_fast_tgd(self, global_index: int, node_id: int) -> None:
-        """A heap-carried TGD application: the IND rule's recipe, with the
-        head template standing in for the IND's column mapping."""
-        fast = self._fast_by_global[global_index]
-        tgd = fast.tgd
-        view = self._views[node_id]
-        key = self._atom_keys[node_id]
-        new_level = view.level + 1
-        if self._config.variant is ChaseVariant.OBLIVIOUS:
-            self._applied_fast.add((global_index, node_id))
-        statistics = self._statistics
-        record = self._config.record_trace
-
-        fresh_by_variable: Dict[Variable, int] = {}
-        fresh_ids: List[int] = []
-        terms: List[int] = []
-        for tag, payload, attribute in fast.head_template:
-            if tag == 0:
-                terms.append(payload)
-            elif tag == 1:
-                terms.append(key[payload])
-            else:
-                fresh = fresh_by_variable.get(payload)
-                if fresh is None:
-                    fresh = self._fresh_id(view.label, attribute, new_level)
-                    fresh_by_variable[payload] = fresh
-                    fresh_ids.append(fresh)
-                terms.append(fresh)
-        candidate = tuple(terms)
-        created_labels: List[str] = []
-        # Like the IND rule: a fresh id in the (single) head atom rules
-        # out a verbatim duplicate without probing.
-        if fresh_ids or self._first_atom_node(
-                fast.head_relation, candidate) is None:
-            created = self._new_fact(fast.head_relation, candidate, new_level,
-                                     parent=node_id, via=tgd)
-            created_labels.append(created.label)
-            statistics.tgd_steps += 1
-            if new_level > statistics.max_level_reached:
-                statistics.max_level_reached = new_level
-        else:
-            statistics.index_hits += 1
-            statistics.redundant_tgd_applications += 1
-        if record:
-            self._trace.record(TGDApplication(
-                dependency=tgd, source_conjuncts=(view.label,),
-                created_conjuncts=tuple(created_labels), level=new_level,
-                fresh_variables=tuple(self._term(tid) for tid in fresh_ids)))
+            fresh_variables = tuple(self._term(tid) for tid in fresh_ids)
+            self._trace.record(
+                INDApplication(
+                    dependency=rule.dependency, source_conjunct=source_label,
+                    created_conjunct=created.label, existing_conjunct=None,
+                    level=new_level, fresh_variables=fresh_variables)
+                if is_ind else TGDApplication(
+                    dependency=rule.dependency,
+                    source_conjuncts=(source_label,),
+                    created_conjuncts=(created.label,), level=new_level,
+                    fresh_variables=fresh_variables))
 
     def _apply_tgd(self, trigger: TGDTrigger) -> None:
         """A trigger-index TGD application (multi-atom body or head)."""
@@ -1353,9 +1309,11 @@ class ColumnarChaseEngine:
         Same rule as the legacy engine: for every live conjunct c and
         IND applicable to c whose required conjunct exists, a cross arc
         from c to the first such conjunct — unless c itself has an
-        ordinary arc for that IND.
+        ordinary arc for that IND.  The IND rules' satisfaction indexes
+        say which conjunct that is.
         """
-        if not self._inds:
+        plans = self._cross_arc_plans
+        if not plans:
             return
         ordinary = set()
         arc_via = self._arc_via
@@ -1365,8 +1323,7 @@ class ColumnarChaseEngine:
         atom_keys = self._atom_keys
         cross = self._cross_arcs
         flat = self._flat_satisfied
-        ind_satisfied = self._ind_satisfied
-        plans = self._cross_arc_plans
+        satisfied = self._satisfied
         for view in self._views:
             if not view.alive:
                 continue
@@ -1375,11 +1332,11 @@ class ColumnarChaseEngine:
                 continue
             node_id = view.node_id
             key = atom_keys[node_id]
-            for index, ind, rendering, lhs_positions in plan:
+            for rule, rendering in plan:
                 if (node_id, rendering) in ordinary:
                     continue
-                bucket = ind_satisfied[index].get(
-                    tuple([key[position] for position in lhs_positions]))
+                bucket = satisfied[rule.slot].get(
+                    tuple([key[position] for position in rule.body_projection]))
                 if bucket is None:
                     target_id = None
                 elif flat:
@@ -1387,7 +1344,7 @@ class ColumnarChaseEngine:
                 else:
                     target_id = min(bucket)
                 if target_id is not None and target_id != node_id:
-                    cross.append((node_id, target_id, ind))
+                    cross.append((node_id, target_id, rule.dependency))
 
     # -- boundary materialisation ----------------------------------------------
 

@@ -25,11 +25,21 @@ The legacy engine calls the full-scan functions below on every round;
 the columnar engine discovers the same triggers incrementally through
 :class:`SemiNaiveTriggerIndex`.  Both select by the one policy spelled
 out here, which is what the differential harness certifies.
+
+The matcher is generic over the value domain node terms are stored in:
+bindings map rule :class:`Variable` objects to node values, and a rule
+constant only ever meets a node term in the same domain.  The full-scan
+functions (the legacy engine, the instance violation checks) match
+:class:`~repro.terms.term.Term` objects read off ``node.conjunct``; the
+semi-naive index matches the columnar engine's interned-id atom keys
+against the rule tables of :class:`TriggerRules`, whose constants are
+encoded once, into the fixed ids every run's interner starts with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.chase.chase_graph import ChaseNode
@@ -46,47 +56,8 @@ NodesForRelation = Callable[[str], Sequence[ChaseNode]]
 
 Binding = Dict[Variable, Term]
 
-
-class TriggerStorage:
-    """How the trigger machinery reads node terms and encodes rule constants.
-
-    The matcher is generic over the *value domain* the chase stores its
-    terms in: bindings map rule :class:`Variable` objects to storage
-    values, and a rule constant only ever meets a node term after being
-    pushed through :meth:`encode`.  This base class is object storage —
-    node terms are the :class:`~repro.terms.term.Term` objects on
-    ``node.conjunct`` and constants encode to themselves — which is what
-    the full-scan functions (the legacy engine, instance violation
-    checks) use.  The columnar engine supplies a storage whose values
-    are interned integer term ids, so the semi-naive trigger index runs
-    over flat int tuples without materialising any :class:`Term`.
-    """
-
-    __slots__ = ()
-
-    @staticmethod
-    def terms_of(node) -> Sequence:
-        """The node's current terms, in the storage's value domain."""
-        return node.conjunct.terms
-
-    @staticmethod
-    def encode(term: Term):
-        """A rule constant's value in the storage's value domain."""
-        return term
-
-
-#: The default storage: Term objects straight off ``node.conjunct``.
-OBJECT_STORAGE = TriggerStorage()
-
-
-def _encode_atom_terms(atom: Conjunct, storage: TriggerStorage) -> Tuple:
-    """The atom's terms with constants pushed into the storage domain.
-
-    Variables stay as-is (they are binding keys, not values), so the
-    unifier can discriminate with one ``isinstance`` check.
-    """
-    return tuple(term if isinstance(term, Variable) else storage.encode(term)
-                 for term in atom.terms)
+#: A full-scan node's terms: the Term objects on its conjunct.
+_conjunct_terms = attrgetter("conjunct.terms")
 
 
 def _unify_encoded(atom: Conjunct, atom_sterms: Sequence,
@@ -95,7 +66,7 @@ def _unify_encoded(atom: Conjunct, atom_sterms: Sequence,
     """Extend ``binding`` so the body atom maps onto the node's terms.
 
     ``atom_sterms`` are the atom's terms with constants already encoded
-    into the storage domain of ``node_terms``; variables bind on first
+    into the value domain of ``node_terms``; variables bind on first
     sight and must agree on later occurrences (the usual homomorphism
     conditions).
 
@@ -125,19 +96,13 @@ def _unify_encoded(atom: Conjunct, atom_sterms: Sequence,
     return extended if extended is not None else binding
 
 
-def _unify_atom(atom: Conjunct, node: ChaseNode,
-                binding: Binding) -> Optional[Binding]:
-    """Object-storage unification against a node (the historical entry)."""
-    return _unify_encoded(atom, atom.terms, node.conjunct.terms, binding)
-
-
 def _iter_encoded_matches(atoms: Sequence[Conjunct],
                           sterms: Sequence[Tuple],
                           nodes_for_relation: NodesForRelation,
                           terms_of: Callable,
                           binding: Optional[Binding] = None
                           ) -> Iterator[Tuple[Tuple[ChaseNode, ...], Binding]]:
-    """Storage-generic body-match enumeration (see :func:`iter_body_matches`)."""
+    """Body-match enumeration in any value domain (see :func:`iter_body_matches`)."""
     # The node set is not mutated during one enumeration, so fetch each
     # atom's candidate list once instead of once per partial binding.
     candidates = [nodes_for_relation(atom.relation) for atom in atoms]
@@ -173,7 +138,7 @@ def iter_body_matches(atoms: Sequence[Conjunct],
     atoms = list(atoms)
     yield from _iter_encoded_matches(
         atoms, [atom.terms for atom in atoms], nodes_for_relation,
-        OBJECT_STORAGE.terms_of, binding)
+        _conjunct_terms, binding)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +292,123 @@ def find_tgd_trigger(tgds: Sequence[TGD],
 # ---------------------------------------------------------------------------
 
 
+def is_trivial_body(atoms: Sequence[Conjunct]) -> bool:
+    """True when any fact of the body relation is a match.
+
+    A single body atom over pairwise-distinct variables (no constants,
+    no repeats) unifies with *every* fact of its relation, so matching
+    needs the relation alone.  Every IND-expressible rule qualifies.
+    """
+    if len(atoms) != 1:
+        return False
+    terms = atoms[0].terms
+    return (len(set(terms)) == len(terms)
+            and not any(isinstance(term, Constant) for term in terms))
+
+
+def _seed_positions(atoms: Sequence[Conjunct]) -> Dict[str, Tuple[int, ...]]:
+    """Per relation, the body positions a delta node of it can pin."""
+    positions: Dict[str, List[int]] = {}
+    for index, atom in enumerate(atoms):
+        positions.setdefault(atom.relation, []).append(index)
+    return {relation: tuple(pins) for relation, pins in positions.items()}
+
+
+def _head_check_plan(single_head: Optional[Conjunct],
+                     frontier: Tuple[Variable, ...],
+                     constant_ids: Dict[Term, int]) -> Optional[tuple]:
+    """Positional satisfaction test for a single-atom head, or None.
+
+    A candidate fact satisfies the head under given frontier values
+    iff its terms agree with the frontier values at the frontier
+    positions, with the head's (encoded) constants at constant
+    positions, and with themselves across repeated existential
+    positions.  Checking positions directly avoids building a pinned
+    binding and running the general unifier once per candidate.
+    """
+    if single_head is None:
+        return None
+    frontier_index = {variable: i for i, variable in enumerate(frontier)}
+    frontier_eqs: List[Tuple[int, int]] = []
+    const_eqs: List[Tuple[int, int]] = []
+    existential_positions: Dict[Variable, List[int]] = {}
+    for position, term in enumerate(single_head.terms):
+        if isinstance(term, Constant):
+            const_eqs.append((position, constant_ids[term]))
+        elif term in frontier_index:
+            frontier_eqs.append((position, frontier_index[term]))
+        else:
+            existential_positions.setdefault(term, []).append(position)
+    exist_groups = tuple(tuple(positions) for positions
+                         in existential_positions.values()
+                         if len(positions) > 1)
+    return (tuple(frontier_eqs), tuple(const_eqs), exist_groups)
+
+
+class TriggerRules:
+    """The trigger index's rule tables: general TGDs and EGDs, compiled once.
+
+    Built with the columnar engine's compiled plan and shared by every
+    run over it, concurrent ones included, so nothing here is mutated
+    after construction; every per-rule table is a tuple in rule order.
+    Rule constants are encoded through ``constant_ids``, the fixed ids
+    every run seeds its interner with, so encoded atoms compare with a
+    run's interned atom keys directly.
+    """
+
+    __slots__ = ("tgds", "egds", "tgd_body_sterms", "tgd_head_sterms",
+                 "egd_body_sterms", "tgd_seeds", "head_relations",
+                 "single_heads", "frontiers", "tgd_trivial", "head_plans",
+                 "egd_seeds", "egd_trivial", "body_watchers",
+                 "head_watchers")
+
+    def __init__(self, tgds: Sequence[TGD], egds: Sequence[EGD],
+                 constant_ids: Dict[Term, int]):
+        def encode(atoms: Sequence[Conjunct]) -> Tuple[Tuple, ...]:
+            # Variables stay as-is (they are binding keys, not values).
+            return tuple(
+                tuple(term if isinstance(term, Variable)
+                      else constant_ids[term] for term in atom.terms)
+                for atom in atoms)
+
+        self.tgds = tuple(tgds)
+        self.egds = tuple(egds)
+        self.tgd_body_sterms = tuple(encode(tgd.body) for tgd in self.tgds)
+        self.tgd_head_sterms = tuple(encode(tgd.head) for tgd in self.tgds)
+        self.egd_body_sterms = tuple(encode(egd.body) for egd in self.egds)
+        self.tgd_seeds = tuple(_seed_positions(tgd.body) for tgd in self.tgds)
+        self.head_relations = tuple(
+            tuple(sorted({atom.relation for atom in tgd.head}))
+            for tgd in self.tgds)
+        self.single_heads = tuple(tgd.head[0] if len(tgd.head) == 1 else None
+                                  for tgd in self.tgds)
+        self.frontiers = tuple(
+            tuple(sorted(tgd.frontier(), key=lambda v: v.name))
+            for tgd in self.tgds)
+        self.tgd_trivial = tuple(is_trivial_body(tgd.body) for tgd in self.tgds)
+        self.head_plans = tuple(
+            _head_check_plan(single_head, frontier, constant_ids)
+            for single_head, frontier in zip(self.single_heads, self.frontiers))
+        self.egd_seeds = tuple(_seed_positions(egd.body) for egd in self.egds)
+        self.egd_trivial = tuple(is_trivial_body(egd.body) for egd in self.egds)
+        #: Per relation, the TGDs whose cached actives a touch there
+        #: invalidates (body relations) or re-checks (head relations
+        #: outside the body, R-chase only).
+        body_watchers: Dict[str, List[int]] = {}
+        head_watchers: Dict[str, List[int]] = {}
+        for index, tgd in enumerate(self.tgds):
+            body_relations = {atom.relation for atom in tgd.body}
+            for relation in body_relations:
+                body_watchers.setdefault(relation, []).append(index)
+            for relation in self.head_relations[index]:
+                if relation not in body_relations:
+                    head_watchers.setdefault(relation, []).append(index)
+        self.body_watchers = {relation: tuple(indexes)
+                              for relation, indexes in body_watchers.items()}
+        self.head_watchers = {relation: tuple(indexes)
+                              for relation, indexes in head_watchers.items()}
+
+
 class SemiNaiveTriggerIndex:
     """Delta-driven TGD/EGD trigger discovery for the columnar engine.
 
@@ -356,32 +438,38 @@ class SemiNaiveTriggerIndex:
     chosen trigger is identical — match for match — to the full rescan's
     choice; the differential harness certifies this against
     ``legacy_engine.py``, which keeps calling the full-scan functions.
+
+    The rules arrive compiled, as a :class:`TriggerRules` the engine's
+    plan holds, and node terms are the engine's interned atom keys, read
+    by node id.  An index holds per-run state only: the delta log, the
+    cursors, pools, caches and stamps above.
     """
 
-    def __init__(self, tgds: Sequence[TGD], egds: Sequence[EGD],
+    def __init__(self, rules: TriggerRules,
                  nodes_for_relation: NodesForRelation,
                  node_by_id: Callable[[int], ChaseNode],
-                 storage: TriggerStorage,
+                 atom_keys: Sequence[Tuple[int, ...]],
                  statistics=None, oblivious: bool = False):
-        self._tgds = list(tgds)
-        self._egds = list(egds)
+        self._tgds = rules.tgds
+        self._egds = rules.egds
         self._nodes_for_relation = nodes_for_relation
         self._node_by_id = node_by_id
+        self._atom_keys = atom_keys
         self._statistics = statistics
-        self._oblivious = oblivious
-        self._storage = storage
-        self._terms_of = storage.terms_of
-        # Rule atoms with constants pushed into the storage domain, one
-        # tuple-of-tuples per rule in atom order.
-        self._tgd_body_sterms = [
-            tuple(_encode_atom_terms(atom, self._storage) for atom in tgd.body)
-            for tgd in self._tgds]
-        self._tgd_head_sterms = [
-            tuple(_encode_atom_terms(atom, self._storage) for atom in tgd.head)
-            for tgd in self._tgds]
-        self._egd_body_sterms = [
-            tuple(_encode_atom_terms(atom, self._storage) for atom in egd.body)
-            for egd in self._egds]
+        self._tgd_body_sterms = rules.tgd_body_sterms
+        self._tgd_head_sterms = rules.tgd_head_sterms
+        self._egd_body_sterms = rules.egd_body_sterms
+        self._tgd_seeds = rules.tgd_seeds
+        self._head_relations = rules.head_relations
+        self._single_heads = rules.single_heads
+        self._frontiers = rules.frontiers
+        self._tgd_trivial = rules.tgd_trivial
+        self._head_plans = rules.head_plans
+        self._egd_seeds = rules.egd_seeds
+        self._egd_trivial = rules.egd_trivial
+        self._body_watchers = rules.body_watchers
+        # In the O-chase head touches are irrelevant and watch nothing.
+        self._head_watchers = {} if oblivious else rules.head_watchers
         self._delta: List[int] = []
         self._tgd_cursors = [0] * len(self._tgds)
         self._egd_cursors = [0] * len(self._egds)
@@ -410,136 +498,19 @@ class SemiNaiveTriggerIndex:
             {} for _ in self._tgds]
         self._egd_bindings: List[Dict[Tuple[int, ...], list]] = [
             {} for _ in self._egds]
-        plans = [self._rule_plan(tgd) for tgd in self._tgds]
-        self._tgd_seeds = [plan[0] for plan in plans]
-        self._head_relations = [plan[1] for plan in plans]
-        self._single_heads = [plan[2] for plan in plans]
-        self._frontiers = [plan[3] for plan in plans]
-        self._tgd_trivial = [plan[5] for plan in plans]
-        # Head-check plans carry the head's constants; encode them into
-        # the storage domain once so the per-candidate positional test
-        # compares storage values directly.
-        self._head_plans = [
-            plan[6] if plan[6] is None else (
-                plan[6][0],
-                tuple((position, self._storage.encode(constant))
-                      for position, constant in plan[6][1]),
-                plan[6][2])
-            for plan in plans]
-        egd_plans = [self._egd_plan(egd) for egd in self._egds]
-        self._egd_seeds = [plan[0] for plan in egd_plans]
-        self._egd_trivial = [plan[1] for plan in egd_plans]
         #: Per-TGD cached active-trigger lists, invalidated eagerly by
         #: :meth:`touch` and :meth:`note_tgd_applied`.  A touch in a rule's
         #: *body* relation can add matches or rewrite member bindings, so
         #: the whole list is recomputed; a touch in a (non-body) *head*
         #: relation can only satisfy R-chase requirements, so the cached
-        #: triggers are kept and merely re-checked (``_tgd_recheck``).  In
-        #: the O-chase head touches are irrelevant and watch nothing.
+        #: triggers are kept and merely re-checked (``_tgd_recheck``).
         self._tgd_actives: List[Optional[List["TGDTrigger"]]] = [
             None for _ in self._tgds]
         self._tgd_recheck = [False] * len(self._tgds)
-        body_watchers: Dict[str, List[int]] = {}
-        head_watchers: Dict[str, List[int]] = {}
-        for index, plan in enumerate(plans):
-            body_relations = plan[4]
-            for relation in body_relations:
-                body_watchers.setdefault(relation, []).append(index)
-            if not oblivious:
-                for relation in plan[1]:
-                    if relation not in body_relations:
-                        head_watchers.setdefault(relation, []).append(index)
-        self._body_watchers = {relation: tuple(indexes)
-                               for relation, indexes in body_watchers.items()}
-        self._head_watchers = {relation: tuple(indexes)
-                               for relation, indexes in head_watchers.items()}
 
-    @staticmethod
-    def _seed_positions(atoms: Sequence[Conjunct]) -> Dict[str, List[int]]:
-        positions: Dict[str, List[int]] = {}
-        for index, atom in enumerate(atoms):
-            positions.setdefault(atom.relation, []).append(index)
-        return positions
-
-    @staticmethod
-    def _rule_plan(tgd: TGD) -> tuple:
-        """Static per-TGD matching metadata, memoised on the frozen rule.
-
-        (seed positions, sorted head relations, single head atom or None,
-        name-sorted frontier, body relation set, trivial-body flag) — all
-        derived purely from the rule, so repeated engine constructions
-        over the same Σ reuse one computation.
-        """
-        plan = tgd.__dict__.get("_chase_plan")
-        if plan is None:
-            single_head = tgd.head[0] if len(tgd.head) == 1 else None
-            frontier = tuple(sorted(tgd.frontier(), key=lambda v: v.name))
-            plan = (
-                SemiNaiveTriggerIndex._seed_positions(tgd.body),
-                tuple(sorted({atom.relation for atom in tgd.head})),
-                single_head,
-                frontier,
-                frozenset(atom.relation for atom in tgd.body),
-                SemiNaiveTriggerIndex._trivial_body(tgd.body),
-                SemiNaiveTriggerIndex._head_check_plan(single_head, frontier),
-            )
-            object.__setattr__(tgd, "_chase_plan", plan)
-        return plan
-
-    @staticmethod
-    def _head_check_plan(single_head: Optional[Conjunct],
-                         frontier: Tuple[Variable, ...]) -> Optional[tuple]:
-        """Positional satisfaction test for a single-atom head, or None.
-
-        A candidate fact satisfies the head under given frontier values
-        iff its terms agree with the frontier values at the frontier
-        positions, with the head's constants at constant positions, and
-        with themselves across repeated existential positions.  Checking
-        positions directly avoids building a pinned binding and running
-        the general unifier once per candidate.
-        """
-        if single_head is None:
-            return None
-        frontier_index = {variable: i for i, variable in enumerate(frontier)}
-        frontier_eqs: List[Tuple[int, int]] = []
-        const_eqs: List[Tuple[int, Constant]] = []
-        existential_positions: Dict[Variable, List[int]] = {}
-        for position, term in enumerate(single_head.terms):
-            if isinstance(term, Constant):
-                const_eqs.append((position, term))
-            elif term in frontier_index:
-                frontier_eqs.append((position, frontier_index[term]))
-            else:
-                existential_positions.setdefault(term, []).append(position)
-        exist_groups = tuple(tuple(positions) for positions
-                             in existential_positions.values()
-                             if len(positions) > 1)
-        return (tuple(frontier_eqs), tuple(const_eqs), exist_groups)
-
-    @staticmethod
-    def _trivial_body(atoms: Sequence[Conjunct]) -> bool:
-        """True when any node of the body relation is a match.
-
-        A single body atom over pairwise-distinct variables (no constants,
-        no repeats) unifies with *every* fact of its relation, so the
-        delta scan can skip unification entirely and match on relation
-        alone.  Every IND-expressible rule qualifies.
-        """
-        if len(atoms) != 1:
-            return False
-        terms = atoms[0].terms
-        return (len(set(terms)) == len(terms)
-                and not any(isinstance(term, Constant) for term in terms))
-
-    @staticmethod
-    def _egd_plan(egd: EGD) -> tuple:
-        """(seed positions, trivial-body flag), memoised on the frozen rule."""
-        plan = egd.__dict__.get("_chase_seeds")
-        if plan is None:
-            plan = (SemiNaiveTriggerIndex._seed_positions(egd.body),
-                    SemiNaiveTriggerIndex._trivial_body(egd.body))
-            object.__setattr__(egd, "_chase_seeds", plan)
-        return plan
+    def _node_terms(self, node) -> Tuple[int, ...]:
+        """A node's current terms: its interned atom key."""
+        return self._atom_keys[node.node_id]
 
     # -- delta intake ---------------------------------------------------------
 
@@ -567,8 +538,9 @@ class SemiNaiveTriggerIndex:
                           candidates: Dict[str, Sequence[ChaseNode]]
                           ) -> Iterator[Tuple[int, ...]]:
         """All body matches with the delta node at one pinned position."""
-        terms_of = self._terms_of
-        seed = _unify_encoded(atoms[pin], sterms[pin], terms_of(pinned), {})
+        atom_keys = self._atom_keys
+        seed = _unify_encoded(atoms[pin], sterms[pin],
+                              atom_keys[pinned.node_id], {})
         if seed is None:
             return
         chosen: List[int] = [0] * len(atoms)
@@ -587,7 +559,7 @@ class SemiNaiveTriggerIndex:
                 pool = candidates[relation] = self._nodes_for_relation(relation)
             for node in pool:
                 extended = _unify_encoded(atoms[index], sterms[index],
-                                          terms_of(node), binding)
+                                          atom_keys[node.node_id], binding)
                 if extended is not None:
                     chosen[index] = node.node_id
                     yield from descend(index + 1, extended)
@@ -596,7 +568,7 @@ class SemiNaiveTriggerIndex:
 
     def _refresh_rule(self, atoms: Sequence[Conjunct],
                       sterms: Sequence[Tuple],
-                      seeds: Dict[str, List[int]],
+                      seeds: Dict[str, Tuple[int, ...]],
                       pool: Set[Tuple[int, ...]],
                       cursor: int,
                       retired: Set[Tuple[int, ...]],
@@ -609,9 +581,9 @@ class SemiNaiveTriggerIndex:
         statistics = self._statistics
         node_by_id = self._node_by_id
         if len(atoms) == 1:
-            # Single-atom body (every IND-expressible rule): the match IS
-            # the delta node, no join to complete — and a trivial body
-            # (distinct variables) matches on relation alone.
+            # Single-atom body: the match IS the delta node, no join to
+            # complete — and a trivial body (distinct variables) matches
+            # on relation alone.
             atom = atoms[0]
             relation = atom.relation
             for position in range(cursor, end):
@@ -619,7 +591,8 @@ class SemiNaiveTriggerIndex:
                 if node.relation != relation or not node.alive:
                     continue
                 if not trivial and _unify_encoded(
-                        atom, sterms[0], self._terms_of(node), {}) is None:
+                        atom, sterms[0], self._atom_keys[node.node_id],
+                        {}) is None:
                     continue
                 ids = (node.node_id,)
                 if ids in pool:
@@ -669,8 +642,7 @@ class SemiNaiveTriggerIndex:
         """
         node_stamps = self._node_stamps
         if len(ids) == 1:
-            # Single-member match (every IND-expressible rule): scalar
-            # stamp, no join to re-walk.
+            # Single-member match: scalar stamp, no join to re-walk.
             node_id = ids[0]
             node = self._node_by_id(node_id)
             if not node.alive:
@@ -681,7 +653,7 @@ class SemiNaiveTriggerIndex:
             if cached is not None and cached[0] == stamp_key:
                 return cached
             binding = _unify_encoded(atoms[0], sterms[0],
-                                     self._terms_of(node), {})
+                                     self._atom_keys[node_id], {})
             if binding is None:
                 cache.pop(ids, None)
                 return None
@@ -701,10 +673,11 @@ class SemiNaiveTriggerIndex:
         cached = cache.get(ids)
         if cached is not None and cached[0] == stamp_key:
             return cached
-        terms_of = self._terms_of
+        atom_keys = self._atom_keys
         binding: Binding = {}
         for atom, atom_sterms, node in zip(atoms, sterms, nodes):
-            extended = _unify_encoded(atom, atom_sterms, terms_of(node), binding)
+            extended = _unify_encoded(atom, atom_sterms,
+                                      atom_keys[node.node_id], binding)
             if extended is None:
                 # Unreachable while members live (merges preserve matches);
                 # kept so a pool entry can only ever be dropped, not crash.
@@ -799,7 +772,7 @@ class SemiNaiveTriggerIndex:
                 candidate = node_by_id(delta[position])
                 if candidate.relation != relation or not candidate.alive:
                     continue
-                terms = self._terms_of(candidate)
+                terms = self._atom_keys[candidate.node_id]
                 match = True
                 for term_position, frontier_position in frontier_eqs:
                     if terms[term_position] != frontier_values[frontier_position]:
@@ -836,7 +809,7 @@ class SemiNaiveTriggerIndex:
         pinned = dict(zip(frontier, frontier_values))
         if any(True for _ in _iter_encoded_matches(
                 self._tgds[index].head, self._tgd_head_sterms[index],
-                self._nodes_for_relation, self._terms_of, pinned)):
+                self._nodes_for_relation, self._node_terms, pinned)):
             self._retire_satisfied(index, ids)
             return False
         checked[ids] = gate

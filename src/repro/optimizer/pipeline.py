@@ -94,16 +94,22 @@ class OptimizationReport:
 
 
 def simplify_with_fds(query: ConjunctiveQuery, dependencies: DependencySet,
-                      steps: Optional[List[RewriteStep]] = None) -> Optional[ConjunctiveQuery]:
+                      steps: Optional[List[RewriteStep]] = None,
+                      engine: Optional[str] = None) -> Optional[ConjunctiveQuery]:
     """Stage 1: chase with the FDs of Σ; ``None`` means unsatisfiable.
 
-    An FD-only chase creates no conjunct, so node *i* of the chase is the
+    The chase runs on ``engine`` (``None``: the process default) and
+    stops below level 1: the FD fixpoint runs over the query's atoms and
+    no IND or TGD fires, so Σ itself is chased and its compiled plan
+    reused.  Σ with EGDs chases its FDs alone, because this stage applies
+    FDs only.  No conjunct is created, so node *i* of the chase is the
     query's *i*-th conjunct, and each surviving atom keeps its label.
     """
     if not dependencies.functional_dependencies():
         return query
-    fds = dependencies if dependencies.is_fd_only() else dependencies.fd_part()
-    result = build_engine(query, fds, ChaseConfig(record_trace=False)).run()
+    fds = dependencies.fd_part() if dependencies.egds() else dependencies
+    result = build_engine(query, fds, ChaseConfig(
+        record_trace=False, max_level=0, engine=engine)).run()
     if result.failed:
         if steps is not None:
             steps.append(RewriteStep(
@@ -215,7 +221,7 @@ def _optimize(query: ConjunctiveQuery, dependencies: Optional[DependencySet],
     sigma = dependencies if dependencies is not None else DependencySet()
     steps: List[RewriteStep] = []
 
-    simplified = simplify_with_fds(query, sigma, steps)
+    simplified = simplify_with_fds(query, sigma, steps, config.chase_engine)
     if simplified is None:
         return OptimizationReport(
             original=query, optimized=query, dependencies=sigma,

@@ -10,9 +10,9 @@ Two families matter for exercising the general-Σ containment path:
   saturation and yield exact containment verdicts;
 * **IND-expressible pairs** — a weakly-acyclic IND set together with its
   :meth:`~repro.dependencies.inclusion.InclusionDependency.as_tgd`
-  normalization, used to certify that the general TGD machinery and the
-  native IND fast path produce identical verdicts (and by the embedded-
-  chase benchmark to price the generality).
+  normalization, used to certify that the TGD chase rule and the native
+  IND rule produce identical verdicts (and by the embedded-chase
+  benchmark to compare the two encodings).
 
 Every generated set passes :func:`repro.chase.termination.analyse_termination`
 with ``weakly_acyclic=True``, which the unit tests assert.

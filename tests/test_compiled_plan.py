@@ -6,7 +6,8 @@ is compiled into one immutable :class:`CompiledPlan`, memoised on the
 memo's three obligations:
 
 * it is built once and shared by every later chase over the same Σ and
-  schema, concurrent chases included, and no run mutates it;
+  schema, concurrent chases included, and no run mutates it — the
+  single-atom rules and the trigger index's rule tables alike;
 * :meth:`DependencySet.add` drops it, so a dependency added after a
   chase fires in the next one;
 * it is keyed by the schema signature, not by Σ alone, so the same Σ
@@ -34,19 +35,45 @@ def node_rows(result):
              node.alive) for node in result.graph.nodes(include_dead=True)]
 
 
-@pytest.fixture
-def keyed_workload():
-    """Key FDs plus a cyclic IND pair: merges, fresh NDVs, truncation."""
+def frozen(value):
+    """A deep, comparable copy of a plan value: the chase's own slotted
+    objects (rules, FD specs, trigger tables) become their slot values."""
+    if isinstance(value, dict):
+        return {key: frozen(item) for key, item in value.items()}
+    if isinstance(value, (tuple, list)):
+        return (type(value).__name__, tuple(frozen(item) for item in value))
+    if (type(value).__module__.startswith("repro.chase.")
+            and hasattr(type(value), "__slots__")):
+        return (type(value).__name__,
+                {name: frozen(getattr(value, name))
+                 for name in type(value).__slots__})
+    return value
+
+
+WORKLOADS = {
+    # Key FDs plus a cyclic IND pair: merges, fresh NDVs, truncation.
+    "keyed": ("R: a -> b\nR: a -> c\nR[c] <= S[d]\nS[e] <= R[a]",
+              "Q(x) :- R(x, y, z), R(x, u, v), S(z, w)"),
+    # The trigger index's rules: a two-atom body (with a constant), a
+    # two-atom head, and an EGD that merges the query's R atoms.
+    "embedded": ("R(x, y, z), S(z, 0) -> S(y, v)\n"
+                 "S(d, e) -> R(e, d, f), S(f, d)\n"
+                 "R(x, y, z), R(x, u, v) -> y = u",
+                 "Q(x) :- R(x, y, z), R(x, u, z), S(z, 0)"),
+}
+
+
+@pytest.fixture(params=sorted(WORKLOADS))
+def workload(request):
     schema = parse_schema("R(a, b, c)\nS(d, e)")
-    sigma = parse_dependencies(
-        "R: a -> b\nR: a -> c\nR[c] <= S[d]\nS[e] <= R[a]", schema)
-    query = parse_query("Q(x) :- R(x, y, z), R(x, u, v), S(z, w)", schema)
-    return schema, sigma, query
+    deps_text, query_text = WORKLOADS[request.param]
+    return (schema, parse_dependencies(deps_text, schema),
+            parse_query(query_text, schema))
 
 
 class TestPlanSharing:
-    def test_compiled_once_per_schema(self, keyed_workload, monkeypatch):
-        schema, sigma, query = keyed_workload
+    def test_compiled_once_per_schema(self, workload, monkeypatch):
+        schema, sigma, query = workload
         compiled = []
 
         def counting(dependencies, target):
@@ -61,25 +88,19 @@ class TestPlanSharing:
         ColumnarChaseEngine(query, sigma, ChaseConfig(max_level=3)).run()
         assert len(compiled) == 2
 
-    def test_runs_leave_the_plan_untouched(self, keyed_workload):
-        schema, sigma, query = keyed_workload
+    def test_runs_leave_the_plan_untouched(self, workload):
+        schema, sigma, query = workload
         plan = sigma.compiled(schema, CompiledPlan)
-
-        def contents():
-            return {name: (dict(value) if isinstance(value, dict) else value)
-                    for name in CompiledPlan.__slots__
-                    for value in (getattr(plan, name),)}
-
-        before = contents()
+        before = frozen(plan)
         for variant in ChaseVariant:
             result = ColumnarChaseEngine(
                 query, sigma, ChaseConfig(variant=variant, max_level=4)).run()
             assert result.statistics.merged_conjuncts > 0
         assert sigma.compiled(schema, CompiledPlan) is plan
-        assert contents() == before
+        assert frozen(plan) == before
 
-    def test_concurrent_chases_share_one_plan(self, keyed_workload):
-        _, sigma, query = keyed_workload
+    def test_concurrent_chases_share_one_plan(self, workload):
+        _, sigma, query = workload
         config = ChaseConfig(max_level=4, max_conjuncts=500)
         expected = node_rows(LegacyChaseEngine(query, sigma, config).run())
         with ThreadPoolExecutor(max_workers=4) as pool:

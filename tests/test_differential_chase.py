@@ -23,7 +23,9 @@ The case families deliberately cover the hard corners: FD-merge cascades
 (failed chases), IND-introduced nulls (fresh NDVs on cyclic, infinite
 chases), and redundant O-chase applications.  The FD-only family keeps
 the classical Maier–Mendelzon–Sagiv chase — what FD-only containment and
-the optimizer's FD stage run — certified against the reference.
+the optimizer's FD stage run — certified against the reference.  The
+competing-rules family puts native INDs and their TGD forms on one
+pending heap, where only the (kind, index) order keeps them apart.
 """
 
 from __future__ import annotations
@@ -34,20 +36,27 @@ import pytest
 
 from repro.api import Solver, SolverConfig
 from repro.chase.engine import ChaseConfig, ChaseResult, ChaseVariant, build_engine
+from repro.chase.events import INDApplication, TGDApplication
 from repro.dependencies.dependency_set import DependencySet
-from repro.workloads import DependencyGenerator, QueryGenerator, SchemaGenerator
+from repro.workloads import (
+    DependencyGenerator,
+    EmbeddedDependencyGenerator,
+    QueryGenerator,
+    SchemaGenerator,
+)
 
 #: Every engine in the comparison matrix; the first is the reference the
 #: others are asserted against.
 ENGINES = ("legacy", "columnar")
 
-#: Seeds per family; the families below multiply this into 290 differential
+#: Seeds per family; the families below multiply this into 330 differential
 #: cases, comfortably past the 200 the acceptance criteria ask for.
 KEY_BASED_CASES = 60
 FD_ONLY_CASES = 60
 IND_ONLY_CASES = 50
 CYCLIC_CASES = 40
 WIDE_IND_CASES = 30
+COMPETING_RULES_CASES = 40
 CONTAINMENT_CASES = 50
 
 
@@ -72,6 +81,9 @@ def snapshot(result: ChaseResult) -> dict:
             result.statistics.fd_steps,
             result.statistics.ind_steps,
             result.statistics.redundant_ind_applications,
+            result.statistics.tgd_steps,
+            result.statistics.redundant_tgd_applications,
+            result.statistics.egd_steps,
             result.statistics.merged_conjuncts,
             result.statistics.max_level_reached,
         ),
@@ -90,6 +102,23 @@ def fd_only_case(seed):
     query = QueryGenerator(schema, seed=seed).random(
         8, variable_pool=4, constant_probability=0.3)
     return query, DependencySet(fds, schema=schema)
+
+
+def competing_rules_case(seed):
+    """A key-based Σ (arities 1–3, so some foreign keys copy every column
+    of their target), the TGD form of about half its INDs, and one random
+    TGD, over a random query with constants.  An IND and its TGD form are
+    pending on the same node at the same level."""
+    schema = SchemaGenerator(seed=seed).mixed(4, min_arity=1, max_arity=3)
+    sigma = DependencyGenerator(schema, seed=seed + 7_000).key_based(3)
+    inds = sigma.inclusion_dependencies()
+    for ind in random.Random(seed).sample(inds, (len(inds) + 1) // 2):
+        sigma.add(ind.as_tgd(schema))
+    sigma.add(EmbeddedDependencyGenerator(schema, seed=seed).random_tgd(
+        max_body_atoms=2))
+    query = QueryGenerator(schema, seed=seed).random(
+        5, variable_pool=5, constant_probability=0.3)
+    return query, sigma
 
 
 def run_all(query, sigma, variant, max_level, max_conjuncts=400) -> tuple:
@@ -206,6 +235,44 @@ class TestDifferentialChase:
             schema.relation_names[0], schema.relation_names[1:3])
         assert_identical(query, sigma, ChaseVariant.RESTRICTED, max_level=3)
 
+    @pytest.mark.parametrize("seed", range(COMPETING_RULES_CASES))
+    def test_competing_single_atom_rules(self, seed):
+        """INDs and IND-shaped TGDs on one heap, beside FDs and a general
+        TGD: selection, redundant O-chase applications and merges must
+        match step for step under both variants."""
+        query, sigma = competing_rules_case(seed)
+        for variant in ChaseVariant:
+            assert_identical(query, sigma, variant, max_level=3)
+
+    def test_competing_rules_family_exercises_both_kinds(self):
+        """Guard: the family must apply an IND and a TGD to the same
+        conjunct at the same level, make redundant O-chase applications
+        of both kinds, and merge symbols."""
+        shared = redundant_inds = redundant_tgds = fd_steps = 0
+        for seed in range(COMPETING_RULES_CASES):
+            query, sigma = competing_rules_case(seed)
+            for variant in ChaseVariant:
+                result = build_engine(query, sigma, ChaseConfig(
+                    variant=variant, max_level=3, max_conjuncts=400)).run()
+                statistics = result.statistics
+                fd_steps += statistics.fd_steps
+                if variant is ChaseVariant.OBLIVIOUS:
+                    redundant_inds += statistics.redundant_ind_applications
+                    redundant_tgds += statistics.redundant_tgd_applications
+                ind_sources = {(step.source_conjunct, step.level)
+                               for step in result.trace
+                               if isinstance(step, INDApplication)
+                               and step.created}
+                shared += sum(
+                    (step.source_conjuncts[0], step.level) in ind_sources
+                    for step in result.trace
+                    if isinstance(step, TGDApplication)
+                    and len(step.source_conjuncts) == 1)
+        assert shared > 0, "no IND and TGD shared a source conjunct and level"
+        assert redundant_inds > 0, "no redundant O-chase IND application"
+        assert redundant_tgds > 0, "no redundant O-chase TGD application"
+        assert fd_steps > 0, "no seed applied a single FD"
+
 
 class TestDifferentialContainment:
     @pytest.mark.parametrize("seed", range(CONTAINMENT_CASES))
@@ -244,5 +311,5 @@ class TestDifferentialContainment:
 def test_case_count_meets_acceptance_floor():
     """The acceptance criteria require ≥200 seeded differential cases."""
     total = (KEY_BASED_CASES + FD_ONLY_CASES + IND_ONLY_CASES + CYCLIC_CASES
-             + WIDE_IND_CASES + CONTAINMENT_CASES)
+             + WIDE_IND_CASES + COMPETING_RULES_CASES + CONTAINMENT_CASES)
     assert total >= 200

@@ -851,16 +851,16 @@ class TestMergeLoweredHeapLevels:
 
 
 class TestEmbeddedArityGuards:
-    def test_unify_atom_rejects_arity_mismatch(self):
-        from repro.chase.embedded_triggers import _unify_atom
+    def test_body_matching_rejects_arity_mismatch(self):
+        from repro.chase.embedded_triggers import iter_body_matches
         from repro.dependencies.violations import _Fact
         fact = _Fact("R", (1, 2))
         overlong = Conjunct("R", [x("u"), x("v"), x("w")])
         with pytest.raises(DependencyError, match="arity"):
-            _unify_atom(overlong, fact, {})
+            list(iter_body_matches([overlong], lambda relation: [fact]))
         short = Conjunct("R", [x("u")])
         with pytest.raises(DependencyError, match="arity"):
-            _unify_atom(short, fact, {})
+            list(iter_body_matches([short], lambda relation: [fact]))
 
     def test_tgd_violations_rejects_wrong_arity_rule(self, rst_schema):
         """Pre-guard, a 3-ary atom over binary R prefix-matched rows and

@@ -1,6 +1,12 @@
 """Unit tests for the query-optimization pipeline."""
 
 
+import pytest
+
+from repro.api import OptimizeRequest, Solver, SolverConfig
+from repro.chase import columnar
+from repro.chase.columnar import CompiledPlan
+from repro.chase.registry import available_engines, engine_factory, register_engine
 from repro.containment.equivalence import are_equivalent
 from repro.dependencies.dependency_set import DependencySet
 from repro.dependencies.functional import FunctionalDependency
@@ -80,6 +86,79 @@ class TestSimplifyWithFDs:
             assert str(report.optimized) == (
                 "Q_optimized(e, l) :- EMP(e, s1, d1), DEP(d1, l)")
 
+
+def emp_dep_keys_and_ind(schema):
+    """``EMP: emp -> dept``, ``DEP: dept -> loc``, ``EMP[dept] <= DEP[dept]``,
+    and a query the FD stage collapses to one EMP and one DEP atom."""
+    sigma = DependencySet([
+        FunctionalDependency("EMP", ["emp"], "dept"),
+        FunctionalDependency("DEP", ["dept"], "loc"),
+        InclusionDependency("EMP", ["dept"], "DEP", ["dept"]),
+    ], schema=schema)
+    query = (
+        QueryBuilder(schema, "Q")
+        .head("e", "l")
+        .atom("EMP", "e", "s1", "d1")
+        .atom("EMP", "e", "s2", "d2")
+        .atom("DEP", "d2", "l")
+        .build()
+    )
+    return query, sigma
+
+
+@pytest.fixture
+def constructed():
+    """Wrap both engine factories; yields the (engine, max_level) of every
+    chase built, and restores the factories afterwards."""
+    originals = {name: engine_factory(name) for name in available_engines()}
+    built = []
+
+    def wrap(name, factory):
+        def wrapper(query, dependencies, config):
+            built.append((name, config.max_level))
+            return factory(query, dependencies, config)
+        return wrapper
+
+    for name, factory in originals.items():
+        register_engine(name, wrap(name, factory), replace=True)
+    try:
+        yield built
+    finally:
+        for name, factory in originals.items():
+            register_engine(name, factory, replace=True)
+
+
+class TestFDStageEngineAndPlan:
+    @pytest.mark.parametrize("engine", ["legacy", "columnar"])
+    def test_fd_stage_runs_the_configs_engine(self, emp_dep_schema,
+                                              constructed, engine):
+        # SolverConfig.chase_engine applies to every chase the solver
+        # builds: the FD stage's (stopped below level 1) and join
+        # elimination's alike.
+        query, sigma = emp_dep_keys_and_ind(emp_dep_schema)
+        solver = Solver(SolverConfig(chase_engine=engine))
+        report = solver.solve(OptimizeRequest(query, sigma)).report
+        assert report.steps[0].stage == "fd-simplify"
+        assert (engine, 0) in constructed
+        assert {name for name, _ in constructed} == {engine}
+
+    def test_repeated_optimize_compiles_one_plan(self, emp_dep_schema,
+                                                 monkeypatch):
+        # The FD stage chases Σ itself, so every call reuses Σ's plan
+        # instead of compiling one for a fresh FD-only copy of Σ.
+        compiled = []
+
+        def counting(dependencies, schema):
+            compiled.append(schema.signature())
+            return CompiledPlan(dependencies, schema)
+
+        monkeypatch.setattr(columnar, "CompiledPlan", counting)
+        query, sigma = emp_dep_keys_and_ind(emp_dep_schema)
+        for _ in range(10):
+            solver = Solver(SolverConfig(chase_engine="columnar"))
+            report = optimize(query, sigma, solver=solver)
+            assert report.steps[0].stage == "fd-simplify"
+        assert compiled == [emp_dep_schema.signature()]
 
 class TestJoinElimination:
     def test_intro_example_dep_join_removed(self, intro):
